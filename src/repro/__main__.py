@@ -110,8 +110,10 @@ def _print_resilience(plane) -> None:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    from repro.cascade import CascadeHit, FrameProvenance
+    from repro.cascade import FrameProvenance
     from repro.core import PercivalBlocker, get_reference_classifier
+    from repro.serve import RenderServeBridge
+    from repro.serve.queue import PRIORITY_VIEWPORT
     from repro.synth.adgen import AdSpec, generate_ad
     from repro.synth.contentgen import generate_content
     from repro.synth.webgen import AD_NETWORKS
@@ -119,9 +121,13 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
     classifier = get_reference_classifier(_resolved_config(args))
     print(f"precision: {classifier.effective_precision}")
-    blocker = PercivalBlocker(classifier)
-    cascade = _resolved_cascade(args, classifier.config)
-    router = cascade if cascade is not False else None
+    # one frame at a time through the serve tier chain: a rule or memo
+    # answer, else a batch of one through the CNN
+    bridge = RenderServeBridge(
+        PercivalBlocker(classifier),
+        cascade=_resolved_cascade(args, classifier.config),
+        differ=False,
+    )
     rng = spawn_rng(args.seed, "cli-classify")
     for index in range(args.count):
         if index % 2 == 0:
@@ -134,34 +140,21 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             bitmap = generate_content(rng)
             truth = "content"
             url = f"https://cdn.demo.example/img/{index:05d}.jpg"
-        tier = "cnn"
-        audit = None
-        decision = None
-        if router is not None:
-            provenance = FrameProvenance(
-                url=url,
-                page_domain="demo.example",
-                width=int(bitmap.shape[1]),
-                height=int(bitmap.shape[0]),
-            )
-            routed = router.route(provenance)
-            if isinstance(routed, CascadeHit):
-                decision = routed.decision
-                tier = f"rule:{routed.tier}"
-            else:
-                audit = routed
+        provenance = FrameProvenance(
+            url=url,
+            page_domain="demo.example",
+            width=int(bitmap.shape[1]),
+            height=int(bitmap.shape[0]),
+        )
+        tier, decision = bridge.admit(bitmap, PRIORITY_VIEWPORT, provenance)
         if decision is None:
-            decision = blocker.decide(bitmap)
-            if router is not None:
-                if audit is not None:
-                    router.reconcile(audit, decision.is_ad)
-                else:
-                    router.absorb(provenance, decision)
+            ((decision, _),) = bridge.drain()
+            tier = "cnn"
         verdict = "BLOCK" if decision.is_ad else "render"
         print(f"[{truth:7s}] P(ad)={decision.probability:.3f} -> "
               f"{verdict} ({tier})")
-    if router is not None:
-        stats = router.stats
+    if bridge.cascade is not None:
+        stats = bridge.cascade.stats
         print(
             f"cascade: {stats.rule_hits} rule hits "
             f"({stats.micro_hits} micro / {stats.list_hits} list), "

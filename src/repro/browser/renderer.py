@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol
+from typing import Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -47,6 +47,8 @@ from repro.synth.webgen import Page
 from repro.utils.clock import WorkerLanes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.cascade.provenance import FrameProvenance
+    from repro.core.blocker import BlockDecision
     from repro.core.revisit import RevisitMemory
     from repro.diff.differ import FrameDiffer
 
@@ -86,24 +88,29 @@ class BlockerProtocol(Protocol):
 class ServeBridgeProtocol(Protocol):
     """What async-mode serving needs (``repro.serve.RenderServeBridge``).
 
-    The renderer enqueues memo-missed frames during raster and drains
-    them after — one batched classification per chunk instead of a
-    forward pass per frame, with the verdicts (and their amortized
-    virtual costs) landing on the async lanes.
+    The renderer admits each decoded frame during raster — answered at
+    once by a cascade rule or the shared memo, or parked — and drains
+    the parked frames after: one batched classification per chunk
+    instead of a forward pass per frame, with the verdicts (and their
+    amortized virtual costs) landing on the async lanes.
     """
 
-    def fingerprint(self, bitmap: np.ndarray) -> str:
+    #: session snapshot differ the renderer diffs pages against
+    #: before decoding (None = diff off)
+    differ: Optional["FrameDiffer"]
+
+    def admit(
+        self,
+        bitmap: np.ndarray,
+        priority: int,
+        provenance: Optional["FrameProvenance"],
+    ) -> Tuple[str, Optional["BlockDecision"]]:
+        """The answering tier and its decision, or ``(tier, None)``
+        while the frame waits for :meth:`drain`."""
         ...
 
-    def lookup(self, bitmap: np.ndarray, key: Optional[str] = None):
-        ...
-
-    def enqueue(
-        self, bitmap: np.ndarray, key: str, priority: int = 0
-    ) -> None:
-        ...
-
-    def drain(self):
+    def drain(self) -> List[Tuple["BlockDecision", float]]:
+        """One ``(decision, amortized_cost_ms)`` per parked frame."""
         ...
 
 
@@ -357,7 +364,7 @@ class Renderer:
         # only the delta reaches the classification pipeline below.
         active_differ = differ
         if active_differ is None and serve_bridge is not None:
-            active_differ = getattr(serve_bridge, "differ", None)
+            active_differ = serve_bridge.differ
         if percival is None:
             active_differ = None
         region_views: List = []
@@ -447,8 +454,9 @@ class Renderer:
                 return percival.classify_cost_ms(info)
 
         elif percival is not None and mode == "async":
-            # leaf import: the serve layer's priority constants, only
-            # needed when a bridge routes frames through it
+            # leaf import: the serve layer's priority and tier
+            # constants, only needed when a bridge routes frames
+            from repro.serve.chain import TIER_RULE
             from repro.serve.queue import (
                 PRIORITY_BELOW_FOLD,
                 PRIORITY_VIEWPORT,
@@ -458,24 +466,11 @@ class Renderer:
             keyed = _supports_keyed_verdicts(percival)
             fingerprint = percival.fingerprint if keyed else None
             decide = percival.decide if keyed else None
-            # cascade extensions, duck-typed so bridge stubs keep
-            # working: route() adds the rule tier in front of the memo,
-            # and enqueue() may accept the frame's provenance
-            bridge_route = getattr(serve_bridge, "route", None)
-            enqueue_takes_provenance = False
             node_by_url: Dict[str, object] = {}
             if serve_bridge is not None:
-                try:
-                    enqueue_takes_provenance = "provenance" in (
-                        inspect.signature(serve_bridge.enqueue).parameters
-                    )
-                except (TypeError, ValueError):
-                    enqueue_takes_provenance = False
-                if bridge_route is not None or enqueue_takes_provenance:
-                    node_by_url = {
-                        node.src: node
-                        for node in document.resource_elements()
-                    }
+                node_by_url = {
+                    node.src: node for node in document.resource_elements()
+                }
 
             def frame_provenance(item: Optional[DisplayItem]):
                 """Provenance of the frame the raster lane is decoding,
@@ -506,46 +501,24 @@ class Renderer:
             def hook(bitmap: np.ndarray, info: SkImageInfo) -> bool:
                 frame_enqueued[0] = False
                 if serve_bridge is not None:
-                    # micro-batched deployment: cascade rule tier (when
-                    # the bridge has one), then the shared memo; misses
-                    # enqueue for the post-raster batched drain
+                    # micro-batched deployment: the bridge's tier chain
+                    # answers from a cascade rule or the shared memo,
+                    # or parks the frame for the post-raster drain
                     item = touched_item[0]
-                    key = serve_bridge.fingerprint(bitmap)
-                    if bridge_route is not None:
-                        rule_hits_before = getattr(
-                            serve_bridge, "rule_hits", 0
-                        )
-                        cached_decision = bridge_route(
-                            bitmap, key=key,
-                            provenance=frame_provenance(item),
-                        )
-                        if cached_decision is not None:
-                            if getattr(
-                                serve_bridge, "rule_hits", 0
-                            ) > rule_hits_before:
-                                metrics.rule_hits += 1
-                            else:
-                                metrics.memo_hits += 1
-                            return cached_decision.is_ad
-                    else:
-                        cached_decision = serve_bridge.lookup(
-                            bitmap, key=key
-                        )
-                        if cached_decision is not None:
-                            metrics.memo_hits += 1
-                            return cached_decision.is_ad
                     priority = (
                         PRIORITY_VIEWPORT
                         if item is None or item.y < VIEWPORT_HEIGHT
                         else PRIORITY_BELOW_FOLD
                     )
-                    if enqueue_takes_provenance:
-                        serve_bridge.enqueue(
-                            bitmap, key, priority,
-                            provenance=frame_provenance(item),
-                        )
-                    else:
-                        serve_bridge.enqueue(bitmap, key, priority)
+                    tier, decided = serve_bridge.admit(
+                        bitmap, priority, frame_provenance(item)
+                    )
+                    if decided is not None:
+                        if tier == TIER_RULE:
+                            metrics.rule_hits += 1
+                        else:
+                            metrics.memo_hits += 1
+                        return decided.is_ad
                     frame_enqueued[0] = True
                     return False  # verdict lands at drain time
                 # fingerprint once per frame: the same key serves the
@@ -617,8 +590,6 @@ class Renderer:
             from repro.diff.snapshot import RegionRecord
 
             memo_probe = getattr(percival, "memoized_decision", None)
-            if memo_probe is None and serve_bridge is not None:
-                memo_probe = getattr(serve_bridge, "lookup", None)
             records = []
             for view in region_views:
                 inherited = inherited_by_url.get(view.url)

@@ -1,69 +1,23 @@
-"""The serving layer: deterministic simulation loop + asyncio front door.
-
-Two drivers share the same :class:`~repro.serve.queue.BatchQueue`,
-memoization contract, and metrics:
+"""The serving layer's two clocked drivers.
 
 * :class:`ServeLoop` — a **deterministic** discrete-event simulator on a
-  :class:`~repro.utils.clock.VirtualClock` (the same device the
-  renderer's ``WorkerLanes`` use).  Classification is *real* — every
-  flush calls ``PercivalBlocker.decide_many``, which may scatter across
-  the worker pool — but time is virtual, so latency distributions,
-  backpressure behaviour, and failure injections replay bit-identically
-  run after run.  This is what the property/fault harness and the
-  ``serve-sim`` CLI drive.
-* :class:`AsyncServeFront` — the ``asyncio`` front door for real
-  concurrent callers: ``await front.submit(bitmap)`` resolves to a
+  :class:`~repro.utils.clock.VirtualClock`.  Classification is *real*
+  (every flush calls ``PercivalBlocker.decide_many``) but time is
+  virtual, so latency distributions, backpressure and injected faults
+  replay bit-identically.  The property/fault harness and the
+  ``serve-sim`` CLI drive it.
+* :class:`AsyncServeFront` — the ``asyncio`` front door:
+  ``await front.submit(bitmap)`` resolves to a
   :class:`~repro.core.blocker.BlockDecision` once the request's batch
-  flushes (on ``max_batch`` or the ``max_wait_ms`` timer, whichever
-  first).
+  flushes (on ``max_batch`` or the ``max_wait_ms`` timer).
 
-Compute is modelled as a set of **lanes**.  The simulator sizes the set
-from the attached worker pool's capacity (override:
-``ServeSettings.lanes`` / ``PERCIVAL_SERVE_LANES``), and a due batch
-dispatches as soon as *any* lane is free — so a 2-worker pool really
-does overlap two flushes in virtual time instead of serializing them
-behind one scalar.  Dispatch tie-breaks on the lowest free lane index,
-which keeps the discrete-event schedule fully deterministic; one lane
-reproduces the pre-lane serializing loop exactly.
-
-Both drivers resolve duplicate work without spending compute on it.
-With a :class:`~repro.cascade.CascadeRouter` attached (``cascade=`` /
-the ``PERCIVAL_CASCADE`` knob), a request carrying frame provenance is
-first offered to the **cascade rule tiers** — a structural verdict
-(compiled micro-rule or corroborated filterlist match) answers at
-arrival without a memo probe, a queue entry, or lane time, and rule
-predictions under audit carry a ticket down the normal path so the
-model verdict heals the rule.  Then the classic tiers: a fingerprint
-that hits the blocker's **memo** is answered immediately and never
-enters the queue (cross-session sharing — the paper's memoized
-deployment, lifted above the page), and a fingerprint already
-**queued** coalesces onto the queued request as a rider, sharing its
-verdict without consuming queue depth or a batch slot.  With a
-:class:`~repro.diff.FrameDiffer` attached (``differ=`` / the
-``PERCIVAL_DIFF`` knob), one more tier runs in front of all of these:
-a request whose ``(session, page, url, content_key)`` matches the
-session's stored page snapshot inherits the snapshot's verdict before
-the bitmap is even fingerprinted — the O(delta) revisit path.  Tier
-order is diff-hit → rule-hit → memo-hit → coalesce → queue; with the
-cascade and differ off nothing changes, bit for bit.
-
-Admission control is explicit: a full queue sheds the request — the
-simulator records it, the asyncio front raises
-:class:`ServeOverloadError` — so overload degrades visibly instead of
-growing an unbounded queue.
-
-Both drivers also host the **resilience plane**
-(:mod:`repro.resilience`): a seeded chaos schedule (``chaos=`` / the
-``PERCIVAL_CHAOS`` knob) injects worker death, tier outages, and
-latency spikes at planned virtual ticks; per-tier circuit breakers
-stop consulting a failing tier; and the SLO-driven degradation ladder
-browns features out (wider deadlines → no diff → no cascade → drop
-below-fold → shed) before shedding everything.  The standing invariant
-is the same one the speed tiers obey: a fault moves *where or whether*
-work happens, never the value of a served P(ad), and the conservation
-ledger (submitted = answered + shed + failed) balances under every
-schedule.  With chaos and resilience off (the default) nothing
-changes, bit for bit.
+Both run every request through one
+:class:`~repro.serve.chain.TierChain`, which owns the tiers, the
+settlement and the resilience plane (see ``docs/serving.md``).  A
+driver owns only its clock, its :class:`~repro.serve.queue.BatchQueue`
+and the way answers reach the caller: the simulator records a
+:class:`ServeResult` per request, the front resolves futures and
+raises :class:`ServeOverloadError` for a shed request.
 """
 
 from __future__ import annotations
@@ -76,29 +30,35 @@ from typing import Callable, Dict, List, Optional, Sequence, Set
 import numpy as np
 
 from repro.cascade.provenance import FrameProvenance
-from repro.cascade.router import CascadeHit, CascadeRouter, resolve_cascade
+from repro.cascade.router import CascadeRouter
 from repro.core.blocker import BlockDecision, PercivalBlocker
 from repro.core.config import (
     ServeSettings,
     configured_serve_lanes,
     configured_serve_settings,
 )
-from repro.diff.differ import FrameDiffer, resolve_differ
-from repro.diff.snapshot import RegionRecord
-from repro.resilience.chaos import (
-    ChaosCursor,
-    ChaosInjectedError,
-    ChaosSchedule,
-    resolve_chaos,
+from repro.diff.differ import FrameDiffer
+from repro.resilience.chaos import ChaosSchedule
+from repro.resilience.plane import ResiliencePlane
+from repro.serve.chain import (
+    TIER_COALESCED,
+    TIER_DIFF,
+    TIER_MEMO,
+    TIER_QUEUED,
+    TIER_RULE,
+    TIER_SHED,
+    TierChain,
+    TierViews,
+    _pool_capacity,
 )
-from repro.resilience.plane import ResiliencePlane, resolve_resilience
 from repro.serve.metrics import ServeStats
 from repro.serve.queue import PRIORITY_VIEWPORT, BatchQueue, ServeRequest
 from repro.utils.clock import VirtualClock
 
 
 class ServeOverloadError(RuntimeError):
-    """The request was shed at admission: queue depth is at its bound.
+    """The request was shed at admission: the queue is at its bound,
+    or the degradation ladder is shedding.
 
     Explicit backpressure — callers decide whether to retry, degrade
     (render without a verdict, as async mode already does), or surface
@@ -114,16 +74,6 @@ class ServeClosedError(RuntimeError):
     closed front has drained its queue and released its executor, so
     admitting more work could only hang the caller.
     """
-
-
-def _pool_capacity(pool: object) -> int:
-    """Worker slots ``pool`` exposes right now (0 = no pool / no
-    capacity signal).  A non-blocking probe: duck-typed on the
-    ``available_capacity`` attribute so stub pools, closed pools, and
-    ``None`` all read as zero instead of raising."""
-    if pool is None:
-        return 0
-    return int(getattr(pool, "available_capacity", 0) or 0)
 
 
 @dataclass(frozen=True)
@@ -165,8 +115,9 @@ class ServeResult:
     #: verdict settled the request before fingerprinting — ``key`` is
     #: empty for these, no pixel hash was ever computed
     diff_hit: bool = False
-    #: answered by a cascade rule tier (no memo probe, no batch slot,
-    #: no lane time); ``rule_tier`` names which tier ("micro"/"list")
+    #: answered by a cascade rule tier (no hash, no memo probe, no batch
+    #: slot, no lane time — ``key`` is empty for these too);
+    #: ``rule_tier`` names which tier ("micro"/"list")
     rule_hit: bool = False
     rule_tier: str = ""
     #: rode along with an identical queued fingerprint (no batch slot)
@@ -245,160 +196,19 @@ class BatchComputeModel:
         return self.setup_ms + batch_size * self.per_image_ms
 
 
-def _feed_cascade_once(
-    cascade: CascadeRouter,
-    group: Sequence[ServeRequest],
-    decision: BlockDecision,
-) -> None:
-    """Feed one computed model verdict into the cascade exactly once.
-
-    A flush settles a leader plus its coalesced riders, but only one
-    verdict was computed for the group — feeding it back once per
-    settled request would hand the healer N observations for one
-    forward pass, enough to two-strike-invalidate a healthy rule from
-    a single frame.  The first open audit ticket in settle order wins
-    (leader first, riders in arrival order); with no ticket standing,
-    the first request carrying provenance absorbs the verdict.
-    """
-    for settled in group:
-        if settled.audit is not None:
-            cascade.reconcile(settled.audit, decision.is_ad)
-            return
-    for settled in group:
-        if settled.provenance is not None:
-            cascade.absorb(settled.provenance, decision)
-            return
-
-
-def _diff_recall(
-    differ: Optional[FrameDiffer],
-    session_id: str,
-    provenance: Optional[FrameProvenance],
-    content_key: str,
-) -> Optional[BlockDecision]:
-    """Diff-tier probe: the session snapshot's stored verdict for this
-    ``(page, url, content)`` triple, or ``None``.  Runs before the
-    fingerprint — a hit never hashes a pixel."""
-    if differ is None or provenance is None or not content_key:
-        return None
-    return differ.recall(
-        session_id, provenance.page_domain, provenance.url, content_key
-    )
-
-
-def _diff_remember(
-    differ: Optional[FrameDiffer],
-    session_id: str,
-    provenance: Optional[FrameProvenance],
-    content_key: str,
-    decision: Optional[BlockDecision],
-) -> None:
-    """Stream one settled model verdict into the session snapshot so
-    the next visit of the same region answers at the diff tier."""
-    if (
-        differ is None
-        or provenance is None
-        or not content_key
-        or decision is None
-    ):
-        return
-    differ.remember(
-        session_id,
-        provenance.page_domain,
-        RegionRecord(
-            url=provenance.url,
-            content_key=content_key,
-            width=provenance.width,
-            height=provenance.height,
-            is_ad=bool(decision.is_ad),
-            probability=float(decision.probability),
-        ),
-    )
-
-
-def _tier_available(
-    plane: Optional[ResiliencePlane],
-    cursor: Optional[ChaosCursor],
-    tier: str,
-    now_ms: float,
-    mutate: bool = True,
-) -> bool:
-    """Is speed tier ``tier`` consultable at ``now_ms``?
-
-    Three gates, in order: a chaos outage window over the tier, the
-    degradation ladder's brownout flags, and the tier's circuit
-    breaker.  ``mutate=False`` uses the breaker's non-mutating ``peek``
-    — feedback writes must not consume the half-open probe that the
-    serve path needs to heal the breaker.  With no plane and no cursor
-    every tier is available: the pre-resilience path, bit for bit.
-    """
-    if cursor is not None and cursor.tier_out(tier, now_ms):
-        return False
-    if plane is not None:
-        controller = plane.controller
-        if tier == "diff" and controller.diff_disabled:
-            return False
-        if tier == "cascade" and controller.cascade_disabled:
-            return False
-        breaker = plane.breakers.get(tier)
-        if breaker is not None:
-            return breaker.allow(now_ms) if mutate else breaker.peek(now_ms)
-    return True
-
-
-def _record_tier(
-    plane: Optional[ResiliencePlane], tier: str, now_ms: float, ok: bool
-) -> None:
-    """Feed one admitted tier call's outcome to its breaker; a trip is
-    also a pressure signal for the degradation ladder."""
-    if plane is None:
-        return
-    breaker = plane.breakers.get(tier)
-    if breaker is None:
-        return
-    before = breaker.trips
-    breaker.record(now_ms, ok)
-    if breaker.trips > before:
-        plane.controller.observe_pressure(f"{tier} breaker tripped")
-
-
-def _absorb_tier_error(
-    stats: ServeStats, plane: Optional[ResiliencePlane]
-) -> None:
-    """Count one absorbed tier failure on the run's ledger (and the
-    plane's cumulative one, when attached)."""
-    stats.tier_errors += 1
-    if plane is not None:
-        plane.tier_errors += 1
-
-
-def _guarded_feedback(
-    stats: ServeStats,
-    plane: Optional[ResiliencePlane],
-    fn: Callable[[], None],
-) -> None:
-    """Run one tier feedback write (diff remember / cascade feed) with
-    the request already settled.  Feedback is an optimization for
-    *future* requests — a raising write is absorbed and counted, never
-    allowed to orphan the settled request or take the flush down."""
-    try:
-        fn()
-    except Exception:
-        _absorb_tier_error(stats, plane)
-
-
-class ServeLoop:
+class ServeLoop(TierViews):
     """Deterministic micro-batching simulator over a virtual clock.
 
     ``run`` replays a traffic trace (:class:`ArrivalEvent` list) through
-    the full serving stack: memo lookup, fingerprint coalescing,
-    admission control, deadline/size-based flushing, and one real
+    the full serving stack: the tier chain at arrival, admission
+    control, deadline/size-based flushing, and one real
     ``decide_many`` per flushed batch.  Batch compute occupies one of
     ``resolved_lanes()`` virtual compute lanes (``compute_model`` prices
-    it); with one lane a slow batch visibly delays the batches behind
-    it, with ``n`` lanes up to ``n`` flushes overlap — either way the
-    p99 tail under load is a property of the trace, not of the host
-    machine.
+    it); a due batch dispatches as soon as any lane is free, lowest
+    index first, so the schedule stays deterministic.  With one lane a
+    slow batch visibly delays the batches behind it, with ``n`` lanes
+    up to ``n`` flushes overlap — either way the p99 tail under load is
+    a property of the trace, not of the host machine.
     """
 
     def __init__(
@@ -418,23 +228,7 @@ class ServeLoop:
             if compute_model is not None
             else BatchComputeModel.from_blocker(blocker)
         )
-        #: confidence router in front of the memo/queue tiers; None =
-        #: off (auto-resolved from PERCIVAL_CASCADE when unspecified)
-        self.cascade = resolve_cascade(cascade, blocker.classifier.config)
-        #: per-session snapshot/diff layer in front of everything; None
-        #: = off (auto-resolved from PERCIVAL_DIFF when unspecified)
-        self.differ = resolve_differ(differ, blocker.classifier.config)
-        #: seeded fault-injection schedule; None = off (auto-resolved
-        #: from PERCIVAL_CHAOS when unspecified)
-        self.chaos = resolve_chaos(chaos, blocker.classifier.config)
-        #: breakers + degradation ladder; None = off (auto-resolved
-        #: from PERCIVAL_RESILIENCE, and implied by an active chaos
-        #: schedule, when unspecified)
-        self.resilience = resolve_resilience(
-            resilience,
-            blocker.classifier.config,
-            chaos_active=self.chaos is not None,
-        )
+        self._chain = TierChain(blocker, cascade, differ, chaos, resilience)
 
     def resolved_lanes(self) -> int:
         """The lane count this loop will simulate with.
@@ -466,47 +260,27 @@ class ServeLoop:
         contract is property-tested on :class:`BatchQueue` directly.)
         """
         events = sorted(events, key=lambda event: event.at_ms)
+        chain = self._chain
         queue = BatchQueue(self.settings)
-        clock = VirtualClock()
         stats = ServeStats(lanes=self.resolved_lanes())
-        if self.cascade is not None:
-            stats.cascade = self.cascade.stats
-        if self.differ is not None:
-            stats.diff = self.differ.stats
-        cursor = self.chaos.cursor() if self.chaos is not None else None
-        plane = self.resilience
-        controller = None
+        chain.start(queue, stats)
+        plane = chain.resilience
         if plane is not None:
-            stats.resilience = plane
             plane.rebase(0.0)
-            controller = plane.controller
+        clock = VirtualClock()
         results: List[ServeResult] = []
-        pending: Dict[str, ServeRequest] = {}
-        #: which ServeResult belongs to each queued request (leaders
-        #: and riders alike), resolved at flush time
-        open_results: Dict[int, ServeResult] = {}
         #: virtual time each compute lane frees up (<= now means idle)
         lane_free: List[float] = [0.0] * stats.lanes
         index = 0
-        next_id = 0
 
         while True:
             now = clock.now_ms
-            if cursor is not None:
-                fired = cursor.fire_due(now, pool=self.blocker.pool)
-                if fired and plane is not None:
-                    plane.note_chaos(fired)
-            if controller is not None:
-                controller.evaluate(now)
-                queue.deadline_scale = controller.deadline_scale
+            chain.tick(now)
             free_lane = self._lowest_free_lane(lane_free, now)
             if free_lane is not None:
                 batch = queue.pop_batch(now)
                 if batch is not None:
-                    lane_free[free_lane] = self._flush(
-                        batch, now, free_lane,
-                        pending, open_results, stats, cursor,
-                    )
+                    lane_free[free_lane] = self._flush(batch, now, free_lane)
                     continue
             arrival = events[index].at_ms if index < len(events) else None
             deadline = queue.next_deadline_ms()
@@ -525,11 +299,11 @@ class ServeLoop:
                 # chaos events past the last unit of work never fire:
                 # an empty system has nothing left to perturb
                 break
-            if cursor is not None:
+            if chain.cursor is not None:
                 # planned chaos ticks join the discrete-event schedule
                 # so outage windows open/close and faults arm at their
                 # scheduled virtual times, not at the next convenient one
-                chaos_at = cursor.next_at_ms()
+                chaos_at = chain.cursor.next_at_ms()
                 if chaos_at is not None:
                     candidates.append(chaos_at)
             next_time = min(candidates)
@@ -537,16 +311,10 @@ class ServeLoop:
             if arrival is not None and next_time >= arrival:
                 event = events[index]
                 index += 1
-                next_id += 1
-                results.append(
-                    self._admit(
-                        event, next_id, clock.now_ms,
-                        queue, pending, open_results, stats, cursor,
-                    )
-                )
+                results.append(self._admit(event, index, clock.now_ms))
 
-        if controller is not None:
-            controller.finalize(clock.now_ms)
+        if plane is not None:
+            plane.controller.finalize(clock.now_ms)
         return ServeReport(
             results=results, stats=stats, makespan_ms=clock.now_ms
         )
@@ -564,84 +332,12 @@ class ServeLoop:
         return None
 
     def _admit(
-        self,
-        event: ArrivalEvent,
-        request_id: int,
-        now_ms: float,
-        queue: BatchQueue,
-        pending: Dict[str, ServeRequest],
-        open_results: Dict[int, ServeResult],
-        stats: ServeStats,
-        cursor: Optional[ChaosCursor] = None,
+        self, event: ArrivalEvent, request_id: int, now_ms: float
     ) -> ServeResult:
-        stats.submitted += 1
-        plane = self.resilience
-        controller = plane.controller if plane is not None else None
-        protected = plane is not None or cursor is not None
-        if (
-            controller is not None
-            and controller.drop_below_fold
-            and event.priority > PRIORITY_VIEWPORT
-        ):
-            # ladder level 4+: below-the-fold frames are shed at
-            # admission — nothing visible is waiting on them, and the
-            # shed is an explicit ledger entry, not a silent drop
-            result = ServeResult(
-                request_id=request_id,
-                session_id=event.session_id,
-                key="",
-                arrival_ms=now_ms,
-                priority=event.priority,
-            )
-            result.shed = True
-            result.flush_ms = result.complete_ms = now_ms
-            stats.shed += 1
-            plane.degraded_sheds += 1
-            return result
-        recalled = None
-        if self.differ is not None and _tier_available(
-            plane, cursor, "diff", now_ms
-        ):
-            if not protected:
-                recalled = _diff_recall(
-                    self.differ, event.session_id, event.provenance,
-                    event.content_key,
-                )
-            else:
-                try:
-                    if cursor is not None and cursor.take_tier_error("diff"):
-                        raise ChaosInjectedError(
-                            "injected diff recall failure"
-                        )
-                    recalled = _diff_recall(
-                        self.differ, event.session_id, event.provenance,
-                        event.content_key,
-                    )
-                except Exception:
-                    recalled = None
-                    _absorb_tier_error(stats, plane)
-                    _record_tier(plane, "diff", now_ms, False)
-                else:
-                    _record_tier(plane, "diff", now_ms, True)
-        if recalled is not None:
-            # tier -1: the session's page snapshot — an unchanged
-            # region inherits its stored verdict before the bitmap is
-            # fingerprinted, let alone routed, probed, or queued
-            result = ServeResult(
-                request_id=request_id,
-                session_id=event.session_id,
-                key="",
-                arrival_ms=now_ms,
-                priority=event.priority,
-            )
-            result.decision = recalled
-            result.diff_hit = True
-            result.flush_ms = result.complete_ms = now_ms
-            stats.diff_hits += 1
-            stats.answered += 1
-            self._record_latency(stats, result)
-            return result
-        key = self.blocker.fingerprint(event.bitmap)
+        tier, answer, key = self._chain.admit(
+            request_id, event.session_id, event.bitmap, event.priority,
+            event.provenance, event.content_key, now_ms,
+        )
         result = ServeResult(
             request_id=request_id,
             session_id=event.session_id,
@@ -649,259 +345,62 @@ class ServeLoop:
             arrival_ms=now_ms,
             priority=event.priority,
         )
-        audit = None
-        if self.cascade is not None and _tier_available(
-            plane, cursor, "cascade", now_ms
-        ):
-            routed = None
-            if not protected:
-                routed = self.cascade.route(event.provenance)
-            else:
-                try:
-                    if cursor is not None and cursor.take_tier_error(
-                        "cascade"
-                    ):
-                        raise ChaosInjectedError(
-                            "injected cascade route failure"
-                        )
-                    routed = self.cascade.route(event.provenance)
-                except Exception:
-                    routed = None
-                    _absorb_tier_error(stats, plane)
-                    _record_tier(plane, "cascade", now_ms, False)
-                else:
-                    _record_tier(plane, "cascade", now_ms, True)
-            if isinstance(routed, CascadeHit):
-                # tier 0: cascade rule — answered at arrival, never
-                # consuming a memo probe, a batch slot, or lane time
-                result.decision = routed.decision
-                result.rule_hit = True
-                result.rule_tier = routed.tier
-                result.flush_ms = result.complete_ms = now_ms
-                stats.rule_hits += 1
-                stats.answered += 1
-                self._record_latency(stats, result)
-                return result
-            audit = routed
-        memo_live = cursor is None or not cursor.tier_out("memo", now_ms)
-        if memo_live and cursor is not None and cursor.take_tier_error(
-            "memo"
-        ):
-            # a memo probe is a dict lookup with no real failure mode;
-            # an injected memo error degrades to a one-shot miss
-            memo_live = False
-        cached = (
-            self.blocker.memoized_decision(key=key) if memo_live else None
-        )
-        if cached is not None:
-            # tier 1: shared memo — answered instantly, no queue entry
-            result.decision = cached
-            result.memo_hit = True
-            result.flush_ms = result.complete_ms = now_ms
-            stats.memo_hits += 1
-            stats.answered += 1
-            self._record_latency(stats, result)
-            if self.cascade is not None and _tier_available(
-                plane, cursor, "cascade", now_ms, mutate=False
-            ):
-                def feed_cascade() -> None:
-                    if audit is not None:
-                        self.cascade.reconcile(audit, cached.is_ad)
-                    else:
-                        self.cascade.absorb(event.provenance, cached)
-
-                if protected:
-                    _guarded_feedback(stats, plane, feed_cascade)
-                else:
-                    feed_cascade()
-            if self.differ is not None and _tier_available(
-                plane, cursor, "diff", now_ms, mutate=False
-            ):
-                def feed_diff() -> None:
-                    _diff_remember(
-                        self.differ, event.session_id, event.provenance,
-                        event.content_key, cached,
-                    )
-
-                if protected:
-                    _guarded_feedback(stats, plane, feed_diff)
-                else:
-                    feed_diff()
+        if tier == TIER_QUEUED or tier == TIER_COALESCED:
+            # resolved when its batch settles
+            result.coalesced = tier == TIER_COALESCED
+            self._chain.open[request_id] = result
             return result
-        if controller is not None and controller.shed_all:
-            # ladder level 5: the compute path is browned out entirely
-            # — every queue-bound request sheds (the cheap tiers above
-            # already had their chance to answer it)
+        result.flush_ms = result.complete_ms = now_ms
+        if tier == TIER_SHED:
             result.shed = True
-            result.flush_ms = result.complete_ms = now_ms
-            stats.shed += 1
-            plane.degraded_sheds += 1
-            return result
-        request = ServeRequest(
-            request_id=request_id,
-            session_id=event.session_id,
-            key=key,
-            bitmap=event.bitmap,
-            arrival_ms=now_ms,
-            priority=event.priority,
-            provenance=event.provenance,
-            audit=audit,
-            content_key=event.content_key,
-        )
-        leader = pending.get(key)
-        if leader is not None:
-            # tier 2: same fingerprint already queued — ride along
-            leader.coalesced.append(request)
-            result.coalesced = True
-            stats.coalesced += 1
-            open_results[request_id] = result
-            return result
-        if not queue.offer(request, now_ms):
-            result.shed = True
-            result.flush_ms = result.complete_ms = now_ms
-            stats.shed += 1
-            if controller is not None:
-                controller.observe_pressure("queue overflow shed")
-            return result
-        pending[key] = request
-        open_results[request_id] = result
+        elif tier == TIER_RULE:
+            result.decision = answer.decision
+            result.rule_hit = True
+            result.rule_tier = answer.tier
+        else:
+            result.decision = answer
+            result.diff_hit = tier == TIER_DIFF
+            result.memo_hit = tier == TIER_MEMO
         return result
 
     def _flush(
-        self,
-        batch: List[ServeRequest],
-        now_ms: float,
-        lane: int,
-        pending: Dict[str, ServeRequest],
-        open_results: Dict[int, ServeResult],
-        stats: ServeStats,
-        cursor: Optional[ChaosCursor] = None,
+        self, batch: List[ServeRequest], now_ms: float, lane: int
     ) -> float:
         """Dispatch one batch on the free compute lane ``lane``;
         returns the virtual time that lane frees up again."""
-        plane = self.resilience
-        controller = plane.controller if plane is not None else None
-        protected = plane is not None or cursor is not None
-        bitmaps = [request.bitmap for request in batch]
-        keys = [request.key for request in batch]
-        pool = self.blocker.pool
-        capacity = _pool_capacity(pool)
-        # the pool breaker is consulted only when this flush would
-        # actually dispatch to the pool; an open breaker detaches the
-        # pool for exactly this decide_many, forcing the in-process
-        # path (bit-identical verdicts — batch composition invariance)
-        pool_eligible = (
-            pool is not None
-            and not getattr(pool, "closed", False)
-            and len(batch) >= self.blocker.shard_min_batch
-        )
-        bypass_pool = False
-        if plane is not None and pool_eligible:
-            bypass_pool = not plane.breakers["pool"].allow(now_ms)
-        fallbacks_before = getattr(self.blocker, "pool_fallbacks", 0)
-        if bypass_pool:
-            self.blocker.pool = None
-            plane.pool_bypassed += 1
+        chain = self._chain
         try:
-            decisions = self.blocker.decide_many(bitmaps, keys=keys)
-        except Exception:
-            if not protected:
+            decisions, capacity = chain.compute(batch, now_ms)
+        except Exception as exc:
+            if chain.guard is None:
                 raise
-            # explicit failed batch: every member and rider settles
-            # exactly once with failed=True, the lane frees at once,
-            # and the conservation ledger stays balanced
-            if pool_eligible and not bypass_pool:
-                _record_tier(plane, "pool", now_ms, False)
-            if plane is not None:
-                plane.failed_batches += 1
-            if controller is not None:
-                controller.observe_pressure("batch classification failed")
-            for request in batch:
-                pending.pop(request.key, None)
-                for settled in (request, *request.coalesced):
-                    result = open_results.pop(settled.request_id)
-                    result.failed = True
-                    result.flush_ms = result.complete_ms = now_ms
-                    result.lane = lane
-                    stats.failed += 1
-            return now_ms
-        finally:
-            if bypass_pool:
-                self.blocker.pool = pool
-        if pool_eligible and not bypass_pool:
-            # the blocker heals a pool failure silently (in-process
-            # fallback); the fallback counter is the breaker's only
-            # window into whether the pool actually dispatched
-            _record_tier(
-                plane, "pool", now_ms,
-                getattr(self.blocker, "pool_fallbacks", 0)
-                == fallbacks_before,
-            )
-        cost_ms = float(self.compute_model(len(batch)))
-        if cursor is not None:
-            cost_ms *= cursor.latency_multiplier(now_ms)
-        complete_ms = now_ms + cost_ms
-        diff_ok = self.differ is not None and _tier_available(
-            plane, cursor, "diff", now_ms, mutate=False
-        )
-        cascade_ok = self.cascade is not None and _tier_available(
-            plane, cursor, "cascade", now_ms, mutate=False
-        )
-        for request, decision in zip(batch, decisions):
-            pending.pop(request.key, None)
-            group = (request, *request.coalesced)
-            for settled in group:
-                result = open_results.pop(settled.request_id)
-                result.decision = decision
-                result.flush_ms = now_ms
-                result.complete_ms = complete_ms
+            # explicit failed batch: the lane frees at once
+
+            def reject(result: ServeResult, _: Exception) -> None:
+                result.failed = True
+                result.flush_ms = result.complete_ms = now_ms
                 result.lane = lane
-                stats.answered += 1
-                self._record_latency(stats, result)
-                if controller is not None:
-                    controller.observe_latency(result.latency_ms)
-            # feedback runs only after every member of the group is
-            # settled, so a raising tier write cannot orphan a rider
-            if diff_ok:
-                # every settled request refreshes its own session's
-                # snapshot — riders belong to other sessions/pages
-                for settled in group:
-                    def feed_diff(settled: ServeRequest = settled) -> None:
-                        _diff_remember(
-                            self.differ, settled.session_id,
-                            settled.provenance, settled.content_key,
-                            decision,
-                        )
 
-                    if protected:
-                        _guarded_feedback(stats, plane, feed_diff)
-                    else:
-                        feed_diff()
-            if cascade_ok:
-                # one computed verdict -> one healer observation,
-                # regardless of how many riders share the batch slot
-                def feed_cascade() -> None:
-                    _feed_cascade_once(self.cascade, group, decision)
+            chain.fail(batch, exc, reject)
+            return now_ms
+        cost_ms = float(self.compute_model(len(batch)))
+        if chain.cursor is not None:
+            cost_ms *= chain.cursor.latency_multiplier(now_ms)
+        complete_ms = now_ms + cost_ms
 
-                if protected:
-                    _guarded_feedback(stats, plane, feed_cascade)
-                else:
-                    feed_cascade()
-        stats.batches += 1
-        stats.batched_requests += len(batch)
-        stats.capacity_samples.append(capacity)
-        stats.lane_busy_ms[lane] = stats.lane_busy_ms.get(lane, 0.0) + cost_ms
+        def resolve(result: ServeResult, decision: BlockDecision) -> None:
+            result.decision = decision
+            result.flush_ms = now_ms
+            result.complete_ms = complete_ms
+            result.lane = lane
+
+        chain.settle(batch, decisions, now_ms, complete_ms, capacity, resolve)
+        busy = chain.stats.lane_busy_ms
+        busy[lane] = busy.get(lane, 0.0) + cost_ms
         return complete_ms
 
-    @staticmethod
-    def _record_latency(stats: ServeStats, result: ServeResult) -> None:
-        stats.queue_wait_ms.add(result.queue_wait_ms)
-        stats.service_ms.add(result.service_ms)
-        stats.total_ms.add(result.latency_ms)
-        stats.record_queue_wait(result.priority, result.queue_wait_ms)
 
-
-class AsyncServeFront:
+class AsyncServeFront(TierViews):
     """``asyncio`` front door over the same micro-batching queue.
 
     ``submit`` returns an awaitable that resolves to the request's
@@ -926,6 +425,10 @@ class AsyncServeFront:
       dispatch protocol are not reentrant, so the front serializes
       forwards and leaves real compute parallelism to the pool's worker
       processes (and, in simulation, to :class:`ServeLoop`'s lanes).
+
+    Chaos here runs on the front's real-millisecond clock; the
+    invariant it exercises is value-independence (every resolved
+    future's P(ad) is fault-free-identical), not replay timing.
     """
 
     def __init__(
@@ -941,31 +444,9 @@ class AsyncServeFront:
         self.blocker = blocker
         self.settings = configured_serve_settings(settings)
         self.use_executor = use_executor
-        self.cascade = resolve_cascade(cascade, blocker.classifier.config)
-        self.differ = resolve_differ(differ, blocker.classifier.config)
-        #: chaos here runs on the front's real-millisecond clock; the
-        #: invariant it exercises is value-independence (every resolved
-        #: future's P(ad) is fault-free-identical), not replay timing
-        self.chaos = resolve_chaos(chaos, blocker.classifier.config)
-        self.resilience = resolve_resilience(
-            resilience,
-            blocker.classifier.config,
-            chaos_active=self.chaos is not None,
-        )
-        self._chaos_cursor = (
-            self.chaos.cursor() if self.chaos is not None else None
-        )
-        self.stats = ServeStats()
-        if self.cascade is not None:
-            self.stats.cascade = self.cascade.stats
-        if self.differ is not None:
-            self.stats.diff = self.differ.stats
-        if self.resilience is not None:
-            self.stats.resilience = self.resilience
+        self._chain = TierChain(blocker, cascade, differ, chaos, resilience)
         self._queue = BatchQueue(self.settings)
-        self._pending: Dict[str, ServeRequest] = {}
-        self._waiters: Dict[int, "asyncio.Future[BlockDecision]"] = {}
-        self._arrivals: Dict[int, float] = {}
+        self._chain.start(self._queue, ServeStats())
         self._timer: Optional[asyncio.TimerHandle] = None
         self._flush_handle: Optional[asyncio.Handle] = None
         self._origin_s: Optional[float] = None
@@ -973,6 +454,18 @@ class AsyncServeFront:
         self._closed = False
         self._executor: Optional[concurrent.futures.ThreadPoolExecutor] = None
         self._inflight: Set["asyncio.Task[None]"] = set()
+
+    @property
+    def stats(self) -> ServeStats:
+        return self._chain.stats
+
+    @property
+    def _pending(self) -> Dict[str, ServeRequest]:
+        return self._chain.pending
+
+    @property
+    def _waiters(self) -> Dict[int, object]:
+        return self._chain.open
 
     # ------------------------------------------------------------------
     # Front door
@@ -992,157 +485,21 @@ class AsyncServeFront:
             )
         loop = asyncio.get_running_loop()
         now_ms = self._now_ms(loop)
-        plane = self.resilience
-        cursor = self._chaos_cursor
-        controller = plane.controller if plane is not None else None
-        protected = plane is not None or cursor is not None
-        if cursor is not None:
-            fired = cursor.fire_due(now_ms, pool=self.blocker.pool)
-            if fired and plane is not None:
-                plane.note_chaos(fired)
-        if controller is not None:
-            controller.evaluate(now_ms)
-            self._queue.deadline_scale = controller.deadline_scale
-        self.stats.submitted += 1
-        if controller is not None and (
-            controller.shed_all
-            or (
-                controller.drop_below_fold
-                and priority > PRIORITY_VIEWPORT
-            )
-        ):
-            self.stats.shed += 1
-            plane.degraded_sheds += 1
-            raise ServeOverloadError(
-                f"request shed at brownout level"
-                f" '{controller.level_name}'"
-            )
-        recalled = None
-        if self.differ is not None and _tier_available(
-            plane, cursor, "diff", now_ms
-        ):
-            if not protected:
-                recalled = _diff_recall(
-                    self.differ, session_id, provenance, content_key
-                )
-            else:
-                try:
-                    if cursor is not None and cursor.take_tier_error("diff"):
-                        raise ChaosInjectedError(
-                            "injected diff recall failure"
-                        )
-                    recalled = _diff_recall(
-                        self.differ, session_id, provenance, content_key
-                    )
-                except Exception:
-                    recalled = None
-                    _absorb_tier_error(self.stats, plane)
-                    _record_tier(plane, "diff", now_ms, False)
-                else:
-                    _record_tier(plane, "diff", now_ms, True)
-        if recalled is not None:
-            self.stats.diff_hits += 1
-            self.stats.answered += 1
-            self._record(now_ms, now_ms, now_ms, priority)
-            return recalled
-        audit = None
-        if self.cascade is not None and _tier_available(
-            plane, cursor, "cascade", now_ms
-        ):
-            routed = None
-            if not protected:
-                routed = self.cascade.route(provenance)
-            else:
-                try:
-                    if cursor is not None and cursor.take_tier_error(
-                        "cascade"
-                    ):
-                        raise ChaosInjectedError(
-                            "injected cascade route failure"
-                        )
-                    routed = self.cascade.route(provenance)
-                except Exception:
-                    routed = None
-                    _absorb_tier_error(self.stats, plane)
-                    _record_tier(plane, "cascade", now_ms, False)
-                else:
-                    _record_tier(plane, "cascade", now_ms, True)
-            if isinstance(routed, CascadeHit):
-                self.stats.rule_hits += 1
-                self.stats.answered += 1
-                self._record(now_ms, now_ms, now_ms, priority)
-                return routed.decision
-            audit = routed
-        key = self.blocker.fingerprint(bitmap)
-        memo_live = cursor is None or not cursor.tier_out("memo", now_ms)
-        if memo_live and cursor is not None and cursor.take_tier_error(
-            "memo"
-        ):
-            # injected memo error degrades to a one-shot miss
-            memo_live = False
-        cached = (
-            self.blocker.memoized_decision(key=key) if memo_live else None
-        )
-        if cached is not None:
-            self.stats.memo_hits += 1
-            self.stats.answered += 1
-            self._record(now_ms, now_ms, now_ms, priority)
-            if self.cascade is not None and _tier_available(
-                plane, cursor, "cascade", now_ms, mutate=False
-            ):
-                def feed_cascade() -> None:
-                    if audit is not None:
-                        self.cascade.reconcile(audit, cached.is_ad)
-                    else:
-                        self.cascade.absorb(provenance, cached)
-
-                if protected:
-                    _guarded_feedback(self.stats, plane, feed_cascade)
-                else:
-                    feed_cascade()
-            if self.differ is not None and _tier_available(
-                plane, cursor, "diff", now_ms, mutate=False
-            ):
-                def feed_diff() -> None:
-                    _diff_remember(
-                        self.differ, session_id, provenance,
-                        content_key, cached,
-                    )
-
-                if protected:
-                    _guarded_feedback(self.stats, plane, feed_diff)
-                else:
-                    feed_diff()
-            return cached
+        chain = self._chain
+        chain.tick(now_ms)
         self._next_id += 1
-        request = ServeRequest(
-            request_id=self._next_id,
-            session_id=session_id,
-            key=key,
-            bitmap=bitmap,
-            arrival_ms=now_ms,
-            priority=priority,
-            provenance=provenance,
-            audit=audit,
-            content_key=content_key,
+        tier, answer, _ = chain.admit(
+            self._next_id, session_id, bitmap, priority, provenance,
+            content_key, now_ms,
         )
+        if tier == TIER_DIFF or tier == TIER_MEMO:
+            return answer
+        if tier == TIER_RULE:
+            return answer.decision
+        if tier == TIER_SHED:
+            raise ServeOverloadError(answer)
         future: "asyncio.Future[BlockDecision]" = loop.create_future()
-        leader = self._pending.get(key)
-        if leader is not None:
-            leader.coalesced.append(request)
-            self.stats.coalesced += 1
-        else:
-            if not self._queue.offer(request, now_ms):
-                self.stats.shed += 1
-                if controller is not None:
-                    controller.observe_pressure("queue overflow shed")
-                raise ServeOverloadError(
-                    f"queue depth {self._queue.depth} at its bound "
-                    f"({self.settings.max_depth}); request shed"
-                )
-            self._pending[key] = request
-        self._waiters[request.request_id] = future
-        self._arrivals[request.request_id] = now_ms
+        chain.open[self._next_id] = future
         if self._queue.due(now_ms):
             # defer to a callback instead of flushing inline: submit
             # returns immediately, and a burst of submits already on
@@ -1222,99 +579,21 @@ class AsyncServeFront:
     ) -> None:
         """Flush every due batch — inline on the event-loop thread by
         default, or as tracked tasks computing on the executor."""
-        if not self.use_executor:
-            self._flush_sync(loop, force=force)
-            return
         while True:
             flush_ms = self._now_ms(loop)
             batch = self._queue.pop_batch(flush_ms, force=force)
             if batch is None:
                 break
+            if not self.use_executor:
+                try:
+                    outcome = self._chain.compute(batch, flush_ms)
+                except Exception as exc:
+                    outcome = exc
+                self._settle(loop, batch, flush_ms, outcome)
+                continue
             task = loop.create_task(self._flush_batch(loop, batch, flush_ms))
             self._inflight.add(task)
             task.add_done_callback(self._inflight.discard)
-        if self._timer is None and self._queue.depth:
-            self._arm_timer(loop)
-
-    def _pool_gate(
-        self, batch: List[ServeRequest], flush_ms: float
-    ) -> tuple:
-        """Consult the pool breaker for one flush.  Returns ``(pool,
-        pool_eligible, bypass, fallbacks_before)``; when ``bypass`` the
-        pool is already detached (caller restores it in a finally) so
-        exactly this flush computes in-process — bit-identical verdicts
-        by batch-composition invariance."""
-        plane = self.resilience
-        pool = self.blocker.pool
-        pool_eligible = (
-            pool is not None
-            and not getattr(pool, "closed", False)
-            and len(batch) >= self.blocker.shard_min_batch
-        )
-        bypass = False
-        if plane is not None and pool_eligible:
-            bypass = not plane.breakers["pool"].allow(flush_ms)
-        fallbacks_before = getattr(self.blocker, "pool_fallbacks", 0)
-        if bypass:
-            self.blocker.pool = None
-            plane.pool_bypassed += 1
-        return pool, pool_eligible, bypass, fallbacks_before
-
-    def _pool_outcome(
-        self,
-        flush_ms: float,
-        pool_eligible: bool,
-        bypass: bool,
-        fallbacks_before: int,
-        ok: bool = True,
-    ) -> None:
-        """Feed the flush's dispatch outcome to the pool breaker (the
-        blocker heals pool failures silently — the fallback counter is
-        the breaker's only window into them)."""
-        if pool_eligible and not bypass:
-            _record_tier(
-                self.resilience, "pool", flush_ms,
-                ok
-                and getattr(self.blocker, "pool_fallbacks", 0)
-                == fallbacks_before,
-            )
-
-    def _flush_sync(
-        self, loop: asyncio.AbstractEventLoop, force: bool = False
-    ) -> None:
-        while True:
-            flush_ms = self._now_ms(loop)
-            batch = self._queue.pop_batch(flush_ms, force=force)
-            if batch is None:
-                break
-            bitmaps = [request.bitmap for request in batch]
-            keys = [request.key for request in batch]
-            capacity = _pool_capacity(self.blocker.pool)
-            pool, eligible, bypass, before = self._pool_gate(
-                batch, flush_ms
-            )
-            try:
-                decisions = self.blocker.decide_many(bitmaps, keys=keys)
-            except Exception as exc:
-                self._pool_outcome(flush_ms, eligible, bypass, before,
-                                   ok=False)
-                self._settle_failure(batch, exc)
-                continue
-            finally:
-                if bypass:
-                    self.blocker.pool = pool
-            self._pool_outcome(flush_ms, eligible, bypass, before)
-            try:
-                self._settle_batch(
-                    batch, decisions, flush_ms, self._now_ms(loop),
-                    capacity,
-                )
-            except Exception as exc:
-                # backstop: _settle_batch resolves futures before any
-                # feedback, so reaching here means something settled
-                # partially — _settle_failure's pops are idempotent and
-                # finish the job exactly once
-                self._settle_failure(batch, exc)
         # re-arm for whatever is still queued (partial batch)
         if self._timer is None and self._queue.depth:
             self._arm_timer(loop)
@@ -1325,34 +604,35 @@ class AsyncServeFront:
         batch: List[ServeRequest],
         flush_ms: float,
     ) -> None:
-        """Executor-mode flush of one already-popped batch."""
-        bitmaps = [request.bitmap for request in batch]
-        keys = [request.key for request in batch]
-        capacity = _pool_capacity(self.blocker.pool)
-        # the detach window spans this task's await; a concurrently
-        # interleaved flush would also compute in-process once, which
-        # only moves *where* its batch computes, never its verdicts
-        pool, eligible, bypass, before = self._pool_gate(batch, flush_ms)
+        """Executor-mode flush of one already-popped batch (the pool
+        breaker's detach window is the executor call itself)."""
         try:
-            decisions = await loop.run_in_executor(
-                self._get_executor(),
-                lambda: self.blocker.decide_many(bitmaps, keys=keys),
+            outcome = await loop.run_in_executor(
+                self._get_executor(), self._chain.compute, batch, flush_ms
             )
         except Exception as exc:
-            self._pool_outcome(flush_ms, eligible, bypass, before,
-                               ok=False)
-            self._settle_failure(batch, exc)
+            outcome = exc
+        self._settle(loop, batch, flush_ms, outcome)
+
+    def _settle(
+        self,
+        loop: asyncio.AbstractEventLoop,
+        batch: List[ServeRequest],
+        flush_ms: float,
+        outcome: "tuple | Exception",
+    ) -> None:
+        """Resolve a flushed batch's awaiters: with the computed
+        ``(decisions, capacity)``, or with the exception it raised."""
+        if isinstance(outcome, Exception):
+            self._chain.fail(batch, outcome, _reject)
             return
-        finally:
-            if bypass:
-                self.blocker.pool = pool
-        self._pool_outcome(flush_ms, eligible, bypass, before)
-        try:
-            self._settle_batch(
-                batch, decisions, flush_ms, self._now_ms(loop), capacity
-            )
-        except Exception as exc:
-            self._settle_failure(batch, exc)
+        complete_ms = self._now_ms(loop)
+        decisions, capacity = outcome
+        self._chain.settle(
+            batch, decisions, flush_ms, complete_ms, capacity, _resolve
+        )
+        if self.resilience is not None:
+            self.resilience.controller.evaluate(complete_ms)
 
     def _get_executor(self) -> concurrent.futures.ThreadPoolExecutor:
         if self._executor is None:
@@ -1364,103 +644,12 @@ class AsyncServeFront:
             )
         return self._executor
 
-    def _settle_batch(
-        self,
-        batch: List[ServeRequest],
-        decisions: Sequence[BlockDecision],
-        flush_ms: float,
-        complete_ms: float,
-        capacity: int,
-    ) -> None:
-        plane = self.resilience
-        cursor = self._chaos_cursor
-        controller = plane.controller if plane is not None else None
-        diff_ok = self.differ is not None and _tier_available(
-            plane, cursor, "diff", complete_ms, mutate=False
-        )
-        cascade_ok = self.cascade is not None and _tier_available(
-            plane, cursor, "cascade", complete_ms, mutate=False
-        )
-        # pass 1 — resolve every waiter (leaders and riders alike)
-        # before any tier feedback runs: a raising remember/feed can
-        # no longer orphan a coalesced rider's future
-        groups = []
-        for request, decision in zip(batch, decisions):
-            self._pending.pop(request.key, None)
-            group = (request, *request.coalesced)
-            for settled in group:
-                future = self._waiters.pop(settled.request_id, None)
-                arrival_ms = self._arrivals.pop(
-                    settled.request_id, flush_ms
-                )
-                if future is not None and not future.done():
-                    future.set_result(decision)
-                self.stats.answered += 1
-                self._record(
-                    arrival_ms, flush_ms, complete_ms, settled.priority
-                )
-                if controller is not None:
-                    controller.observe_latency(complete_ms - arrival_ms)
-            groups.append((group, decision))
-        # pass 2 — tier feedback, each write guarded so one failing
-        # tier cannot take the flush (or the timer re-arm) down
-        for group, decision in groups:
-            if diff_ok:
-                for settled in group:
-                    _guarded_feedback(
-                        self.stats, plane,
-                        lambda settled=settled, decision=decision:
-                            _diff_remember(
-                                self.differ, settled.session_id,
-                                settled.provenance, settled.content_key,
-                                decision,
-                            ),
-                    )
-            if cascade_ok:
-                # one computed verdict -> one healer observation,
-                # regardless of how many riders share the batch slot
-                _guarded_feedback(
-                    self.stats, plane,
-                    lambda group=group, decision=decision:
-                        _feed_cascade_once(self.cascade, group, decision),
-                )
-        self.stats.batches += 1
-        self.stats.batched_requests += len(batch)
-        self.stats.capacity_samples.append(capacity)
-        if controller is not None:
-            controller.evaluate(complete_ms)
 
-    def _settle_failure(
-        self, batch: List[ServeRequest], exc: Exception
-    ) -> None:
-        # the batch is already popped: its waiters must hear about the
-        # failure, not hang, and its keys must leave _pending so later
-        # duplicates are not coalesced onto a leader that no longer
-        # exists.  Pops tolerate absence so this doubles as the
-        # exactly-once backstop behind a partially-settled batch.
-        plane = self.resilience
-        if plane is not None:
-            plane.failed_batches += 1
-            plane.controller.observe_pressure("batch classification failed")
-        for request in batch:
-            self._pending.pop(request.key, None)
-            for settled in (request, *request.coalesced):
-                future = self._waiters.pop(settled.request_id, None)
-                self._arrivals.pop(settled.request_id, None)
-                if future is None:
-                    continue
-                if not future.done():
-                    future.set_exception(exc)
-                self.stats.failed += 1
+def _resolve(future: "asyncio.Future[BlockDecision]", decision) -> None:
+    if not future.done():
+        future.set_result(decision)
 
-    def _record(
-        self,
-        arrival_ms: float,
-        flush_ms: float,
-        complete_ms: float,
-        priority: int = PRIORITY_VIEWPORT,
-    ) -> None:
-        self.stats.queue_wait_ms.add(flush_ms - arrival_ms)
-        self.stats.service_ms.add(complete_ms - flush_ms)
-        self.stats.total_ms.add(complete_ms - arrival_ms)
-        self.stats.record_queue_wait(priority, flush_ms - arrival_ms)
+
+def _reject(future: "asyncio.Future[BlockDecision]", exc: Exception) -> None:
+    if not future.done():
+        future.set_exception(exc)

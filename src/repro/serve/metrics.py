@@ -84,7 +84,8 @@ class ServeStats:
     answered: int = 0
     shed: int = 0
     #: requests whose batch's classification raised after it was popped
-    #: (asyncio front only: their awaiters receive the exception)
+    #: (settled exactly once as failed; asyncio awaiters receive the
+    #: exception)
     failed: int = 0
     #: answered from the session's page snapshot (diff tier), before
     #: the request's bitmap was even fingerprinted
@@ -130,12 +131,22 @@ class ServeStats:
     #: absorbed instead of taking the request or the flush down
     tier_errors: int = 0
 
-    def record_queue_wait(self, priority: int, value_ms: float) -> None:
-        """Attribute one queue-wait sample to its priority class."""
+    def record_latency(
+        self,
+        arrival_ms: float,
+        flush_ms: float,
+        complete_ms: float,
+        priority: int,
+    ) -> None:
+        """One answered request's queue wait (also split by priority
+        class), service and total time."""
+        self.queue_wait_ms.add(flush_ms - arrival_ms)
+        self.service_ms.add(complete_ms - flush_ms)
+        self.total_ms.add(complete_ms - arrival_ms)
         summary = self.queue_wait_by_priority.get(priority)
         if summary is None:
             summary = self.queue_wait_by_priority[priority] = LatencySummary()
-        summary.add(value_ms)
+        summary.add(flush_ms - arrival_ms)
 
     @property
     def mean_batch_size(self) -> float:

@@ -7,27 +7,31 @@ where a configurable fraction of frames are *shared creatives* — the
 same ad unit syndicated across sites — so cross-session memoization and
 fingerprint coalescing have something real to bite on.
 
-:class:`RenderServeBridge` is the hook that routes a renderer's
-async-mode decodes through the micro-batching layer: misses enqueue
-during raster (paint never waits), and the page's pending frames
-classify in ``max_batch``-sized chunks at drain time.  The bridge keeps
-one blocker across pages, so a creative classified while serving one
-page session answers every later session from the shared memo.
+:class:`RenderServeBridge` is the renderer's async-mode driver of the
+tier chain: ``admit`` per decoded frame during raster (paint never
+waits), ``drain`` after it, in ``max_batch``-sized chunks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.cascade.provenance import FrameProvenance
-from repro.cascade.router import CascadeHit, CascadeRouter
+from repro.cascade.router import CascadeRouter
 from repro.core.blocker import BlockDecision, PercivalBlocker
 from repro.core.config import ServeSettings, configured_serve_settings
+from repro.diff.differ import FrameDiffer
+from repro.serve.chain import TIER_QUEUED, TIER_RULE, TierChain, TierViews
 from repro.serve.loop import ArrivalEvent, BatchComputeModel
-from repro.serve.queue import PRIORITY_BELOW_FOLD, PRIORITY_VIEWPORT
+from repro.serve.metrics import ServeStats
+from repro.serve.queue import (
+    PRIORITY_BELOW_FOLD,
+    PRIORITY_VIEWPORT,
+    ServeRequest,
+)
 from repro.utils.rng import spawn_rng
 
 
@@ -289,18 +293,32 @@ class _ProvenanceSynth:
         )
 
 
-class RenderServeBridge:
+class _Backlog(list):
+    """The bridge's queue: every frame waits for the next drain."""
+
+    def offer(self, request: ServeRequest, now_ms: float) -> bool:
+        self.append(request)
+        return True
+
+
+class RenderServeBridge(TierViews):
     """Routes a renderer's async-mode classification through batches.
 
-    The renderer calls :meth:`lookup` per decoded frame (shared-memo
-    fast path) and :meth:`enqueue` on a miss; the frame paints
-    immediately either way.  :meth:`drain` then classifies everything
-    pending in ``max_batch`` chunks through ``decide_many`` — one
-    batched forward (sharded across the worker pool when the blocker
-    holds one) instead of per-frame passes — and reports each frame's
-    verdict with its amortized virtual cost for the renderer's async
-    lanes.  The bridge outlives a single page: later sessions reuse
-    every verdict via the blocker's memo.
+    The renderer calls :meth:`admit` per decoded frame and the frame
+    paints immediately either way: the tier chain answers it from a
+    cascade rule or the shared memo, or parks it for the next drain.
+    :meth:`drain` then classifies everything parked in ``max_batch``
+    chunks through ``decide_many`` — one batched forward (sharded
+    across the worker pool when the blocker holds one) instead of
+    per-frame passes — and reports each frame's verdict with its
+    amortized virtual cost for the renderer's async lanes.  The bridge
+    outlives a single page: later sessions reuse every verdict via the
+    blocker's memo.
+
+    Chaos and resilience are pinned off: a page drain has no clock for
+    breakers or a ladder to run on.  The chain's diff tier never
+    answers here (frames carry no content key); the renderer diffs
+    whole pages against the bridge's ``differ`` before decoding.
     """
 
     def __init__(
@@ -308,135 +326,91 @@ class RenderServeBridge:
         blocker: PercivalBlocker,
         settings: Optional[ServeSettings] = None,
         cascade: "CascadeRouter | None | bool" = None,
-        differ=None,
+        differ: "FrameDiffer | None | bool" = None,
     ) -> None:
-        # leaf imports: the resolvers read their PERCIVAL_* knobs
-        from repro.cascade.router import resolve_cascade
-        from repro.diff.differ import resolve_differ
-
         self.blocker = blocker
         self.settings = configured_serve_settings(settings)
         self.compute_model = BatchComputeModel.from_blocker(blocker)
-        self.cascade = resolve_cascade(cascade, blocker.classifier.config)
-        #: session-scoped snapshot differ; the renderer picks this up so
-        #: revisits of a page inherit unchanged regions' verdicts before
-        #: any decode happens (None = diff off)
-        self.differ = resolve_differ(differ, blocker.classifier.config)
-        #: (priority, enqueue seq, key, bitmap, audit, provenance) —
-        #: drained most-urgent first, FIFO within a priority class
-        self._pending: List[tuple] = []
-        #: audit tickets opened by :meth:`route` for keys that memo-
-        #: missed, waiting to ride the next :meth:`enqueue` of that key
-        self._open_tickets: dict = {}
+        self._chain = TierChain(
+            blocker, cascade, differ, chaos=False, resilience=False,
+            coalesce=False,
+        )
+        self._backlog = _Backlog()
+        self._chain.start(self._backlog, ServeStats())
         self.frames_enqueued = 0
         self.batches_flushed = 0
-        #: frames answered by the cascade rule tiers via :meth:`route`
-        self.rule_hits = 0
 
-    def lookup(
-        self, bitmap: np.ndarray, key: Optional[str] = None
-    ) -> Optional[BlockDecision]:
-        """Shared-memo lookup; ``None`` means the frame needs compute."""
-        return self.blocker.memoized_decision(bitmap, key=key)
-
-    def route(
+    def admit(
         self,
         bitmap: np.ndarray,
-        key: Optional[str] = None,
-        provenance: Optional[FrameProvenance] = None,
-    ) -> Optional[BlockDecision]:
-        """Cascade rule tier + shared memo, in serve-tier order.
-
-        A rule hit answers without touching the memo; a memo hit
-        reconciles (or absorbs into) the cascade; ``None`` means the
-        frame needs compute — any open audit ticket waits for the key's
-        next :meth:`enqueue` and settles at drain time.
-        """
-        if key is None:
-            key = self.blocker.fingerprint(bitmap)
-        audit = None
-        if self.cascade is not None:
-            routed = self.cascade.route(provenance)
-            if isinstance(routed, CascadeHit):
-                self.rule_hits += 1
-                return routed.decision
-            audit = routed
-        cached = self.blocker.memoized_decision(bitmap, key=key)
-        if cached is not None:
-            if self.cascade is not None:
-                if audit is not None:
-                    self.cascade.reconcile(audit, cached.is_ad)
-                else:
-                    self.cascade.absorb(provenance, cached)
-            return cached
-        if audit is not None:
-            self._open_tickets.setdefault(key, []).append(audit)
-        return None
-
-    def fingerprint(self, bitmap: np.ndarray) -> str:
-        return self.blocker.fingerprint(bitmap)
-
-    def enqueue(
-        self,
-        bitmap: np.ndarray,
-        key: str,
         priority: int = PRIORITY_VIEWPORT,
         provenance: Optional[FrameProvenance] = None,
-    ) -> None:
-        """Queue a memo-missed frame for the next drain.
+    ) -> Tuple[str, Optional[BlockDecision]]:
+        """Offer one decoded frame to the tier chain.
 
-        ``priority`` is the frame's provenance on the page: the
-        renderer passes :data:`PRIORITY_VIEWPORT` for frames whose slot
-        is inside the viewport and :data:`PRIORITY_BELOW_FOLD`
-        otherwise, so the drain classifies what the user can see first.
+        Returns the answering tier and its decision, or
+        ``(TIER_QUEUED, None)`` when the frame waits for :meth:`drain`.
+        ``priority`` is the frame's place on the page: viewport frames
+        drain first.
         """
-        audit = None
-        tickets = self._open_tickets.get(key)
-        if tickets:
-            audit = tickets.pop(0)
-            if not tickets:
-                del self._open_tickets[key]
-        self._pending.append(
-            (priority, self.frames_enqueued, key, bitmap, audit, provenance)
+        chain = self._chain
+        request_id = chain.stats.submitted + 1
+        tier, answer, _ = chain.admit(
+            request_id, "render", bitmap, priority, provenance, "", 0.0
         )
-        self.frames_enqueued += 1
+        if tier == TIER_QUEUED:
+            chain.open[request_id] = request_id
+            self.frames_enqueued += 1
+            return tier, None
+        if tier == TIER_RULE:
+            return tier, answer.decision
+        return tier, answer
 
     @property
     def depth(self) -> int:
-        return len(self._pending)
+        return len(self._backlog)
 
     def drain(self) -> List[Tuple[BlockDecision, float]]:
         """Classify everything pending, in ``max_batch`` chunks.
 
-        Returns one ``(decision, amortized_cost_ms)`` pair per enqueued
+        Returns one ``(decision, amortized_cost_ms)`` pair per admitted
         frame, most-urgent-first: viewport frames fill the earliest
         chunks (FIFO within a priority class), so their verdicts
         memoize — and their ads stop flashing — before any below-the-
         fold work runs.  The chunking itself is priority-blind: the
         drain always flushes ``ceil(pending / max_batch)`` batches.
-        Duplicate fingerprints within a chunk share one classification
-        (``decide_many`` deduplicates), and the amortized cost splits
+        Identical frames within a chunk share one classification and
+        settle as one group, so the cascade healer hears one
+        observation per computed verdict.  The amortized cost splits
         the chunk's batched compute evenly across its frames — the
         virtual-clock reflection of what batching buys over per-frame
         inference.
         """
+        chain = self._chain
+        pending = sorted(
+            self._backlog, key=lambda request: (request.priority,
+                                                request.request_id)
+        )
+        self._backlog.clear()
         drained: List[Tuple[BlockDecision, float]] = []
         max_batch = self.settings.max_batch
-        pending, self._pending = self._pending, []
-        pending.sort(key=lambda entry: (entry[0], entry[1]))
         for start in range(0, len(pending), max_batch):
             chunk = pending[start:start + max_batch]
-            keys = [entry[2] for entry in chunk]
-            bitmaps = [entry[3] for entry in chunk]
-            decisions = self.blocker.decide_many(bitmaps, keys=keys)
+            leaders: Dict[str, ServeRequest] = {}
+            for request in chunk:
+                leader = leaders.setdefault(request.key, request)
+                if leader is not request:
+                    leader.coalesced.append(request)
+            batch = list(leaders.values())
+            decisions, capacity = chain.compute(batch, 0.0)
+            answers: Dict[int, BlockDecision] = {}
+            chain.settle(
+                batch, decisions, 0.0, 0.0, capacity, answers.__setitem__
+            )
             per_frame_ms = float(self.compute_model(len(chunk))) / len(chunk)
-            for entry, decision in zip(chunk, decisions):
-                drained.append((decision, per_frame_ms))
-                if self.cascade is not None:
-                    _, _, _, _, audit, provenance = entry
-                    if audit is not None:
-                        self.cascade.reconcile(audit, decision.is_ad)
-                    else:
-                        self.cascade.absorb(provenance, decision)
+            drained.extend(
+                (answers[request.request_id], per_frame_ms)
+                for request in chunk
+            )
             self.batches_flushed += 1
         return drained

@@ -118,7 +118,14 @@ def test_rule_tier_wins_over_memo():
     # every key is now memoized AND most sources hold micro-rules
     second = ServeLoop(blocker, SETTINGS, cascade=router).run(traffic)
     assert second.stats.rule_hits > first.stats.rule_hits
-    rule_keys = {r.key for r in second.results if r.rule_hit}
+    # rule hits answer before hashing (their ``key`` is empty), so
+    # fingerprint their frames from the trace, in submission order
+    events = sorted(traffic, key=lambda event: event.at_ms)
+    rule_keys = {
+        blocker.fingerprint(event.bitmap)
+        for event, r in zip(events, second.results)
+        if r.rule_hit
+    }
     memoized = [k for k in rule_keys
                 if blocker.memoized_decision(key=k) is not None]
     # the memo would have answered these — the rule tier got there first

@@ -112,13 +112,16 @@ def test_diff_on_changes_no_verdicts(revisit_traffic):
     answers come from, never what they are.  (``cascade=False`` pins
     the rule tiers off: a rule hit carries its *compiled* probability,
     so an environment-injected router would make probabilities depend
-    on rule compile timing — a cascade property, not a diff one.)"""
+    on rule compile timing — a cascade property, not a diff one.  Chaos
+    is pinned off too: injected tier faults move work between tiers,
+    so the batched-work equality below is not a property of the diff
+    tier under them.)"""
     off = ServeLoop(
-        _blocker(), SETTINGS, cascade=False, differ=False
+        _blocker(), SETTINGS, cascade=False, differ=False, chaos=False
     ).run(revisit_traffic)
     differ = FrameDiffer()
     on = ServeLoop(
-        _blocker(), SETTINGS, cascade=False, differ=differ
+        _blocker(), SETTINGS, cascade=False, differ=differ, chaos=False
     ).run(revisit_traffic)
     assert off.stats.shed == on.stats.shed == 0
     off_verdicts = {

@@ -111,8 +111,11 @@ class TestServeLoopSimulation:
             for i, f in enumerate(frames)
         ]
         blocker = _blocker(untrained_classifier)
+        # chaos pinned off: an injected memo outage would turn a late
+        # duplicate into a recomputation, and this counts memo hits
         report = ServeLoop(
-            blocker, ServeSettings(max_batch=4, max_wait_ms=2.0, max_depth=32)
+            blocker, ServeSettings(max_batch=4, max_wait_ms=2.0, max_depth=32),
+            chaos=False,
         ).run(early + late)
         assert report.stats.memo_hits == len(frames)
         assert blocker.classifications == len(frames)
