@@ -26,53 +26,21 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _resolved_config(args: argparse.Namespace):
-    """Config for subcommands with a ``--precision`` flag: the flag
-    wins, otherwise the ``PERCIVAL_PRECISION`` environment knob applies
-    (``None`` defers to the library default)."""
+    """The classifier config with the command's ``--precision``,
+    ``--cascade`` and ``--diff`` flags folded in; a flag not given (or
+    not offered) stays ``None``, which defers to its ``PERCIVAL_*``
+    knob."""
     from repro.core import PercivalConfig
 
-    if getattr(args, "precision", None) is None:
-        return None
-    return PercivalConfig(precision=args.precision)
+    def toggle(name):
+        flag = getattr(args, name, None)
+        return None if flag is None else flag == "on"
 
-
-def _resolved_cascade(args: argparse.Namespace, config):
-    """``--cascade`` flag -> ServeLoop-style ``cascade=`` argument: a
-    router when on, ``False`` when off, ``None`` (environment knob)
-    when the flag was not given."""
-    from repro.cascade import CascadeRouter
-    from repro.core.config import configured_cascade_enabled
-
-    flag = getattr(args, "cascade", None)
-    if flag is None:
-        enabled = configured_cascade_enabled(config.cascade_enabled)
-    else:
-        enabled = flag == "on"
-    if not enabled:
-        return False
-    return CascadeRouter.with_default_filterlist(
-        confidence=config.cascade_confidence
+    return PercivalConfig(
+        precision=getattr(args, "precision", None),
+        cascade_enabled=toggle("cascade"),
+        diff_enabled=toggle("diff"),
     )
-
-
-def _resolved_differ(args: argparse.Namespace, config):
-    """``--diff`` flag -> ServeLoop-style ``differ=`` argument: a
-    differ when on, ``False`` when off, ``None`` (environment knob)
-    when the flag was not given."""
-    from repro.core.config import (
-        configured_diff_capacity,
-        configured_diff_enabled,
-    )
-    from repro.diff import FrameDiffer
-
-    flag = getattr(args, "diff", None)
-    if flag is None:
-        enabled = configured_diff_enabled(config.diff_enabled)
-    else:
-        enabled = flag == "on"
-    if not enabled:
-        return False
-    return FrameDiffer(capacity=configured_diff_capacity())
 
 
 def _resolved_chaos(args: argparse.Namespace):
@@ -123,11 +91,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     print(f"precision: {classifier.effective_precision}")
     # one frame at a time through the serve tier chain: a rule or memo
     # answer, else a batch of one through the CNN
-    bridge = RenderServeBridge(
-        PercivalBlocker(classifier),
-        cascade=_resolved_cascade(args, classifier.config),
-        differ=False,
-    )
+    bridge = RenderServeBridge(PercivalBlocker(classifier), differ=False)
     rng = spawn_rng(args.seed, "cli-classify")
     for index in range(args.count):
         if index % 2 == 0:
@@ -192,9 +156,11 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
     """Deterministic serving simulation: multi-session traffic through
     the micro-batching layer (or, with ``--fleet``, a full diurnal-day
     replay under the SLO autoscaler), with the latency report."""
+    from dataclasses import replace
+
     from repro.core import (
         PercivalBlocker,
-        ServeSettings,
+        configured_serve_settings,
         get_reference_classifier,
         get_worker_pool,
         shutdown_worker_pool,
@@ -208,18 +174,17 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         synthesize_traffic,
     )
 
+    # an unset flag (None) leaves its PERCIVAL_SERVE_* knob in force
+    flags = {
+        name: getattr(args, name)
+        for name in ("max_batch", "max_wait_ms", "max_depth", "lanes",
+                     "aging_ms")
+        if getattr(args, name) is not None
+    }
+    settings = replace(configured_serve_settings(), **flags)
     classifier = get_reference_classifier(_resolved_config(args))
-    cascade = _resolved_cascade(args, classifier.config)
-    differ = _resolved_differ(args, classifier.config)
     chaos = _resolved_chaos(args)
     pool = get_worker_pool(classifier, num_workers=args.workers)
-    settings = ServeSettings(
-        max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
-        max_depth=args.max_depth,
-        lanes=args.lanes,
-        aging_ms=args.aging_ms,
-    )
     blocker = PercivalBlocker(
         classifier,
         calibrated_latency_ms=11.0,
@@ -236,7 +201,6 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
                 blocker,
                 settings,
                 policy=SLOPolicy(p99_target_ms=args.p99_target_ms),
-                cascade=cascade,
                 chaos=chaos,
             )
             if simulator.chaos is not None:
@@ -254,16 +218,14 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
                 print("CONSERVATION VIOLATED: requests lost or duplicated")
                 return 1
             return 0
+        loop = ServeLoop(blocker, settings, chaos=chaos)
         events = synthesize_traffic(TrafficSpec(
             sessions=args.sessions,
             frames_per_session=args.frames,
             seed=args.seed,
-            provenance=cascade is not False or differ is not False,
+            provenance=loop.cascade is not None or loop.differ is not None,
             revisits=args.revisits,
         ))
-        loop = ServeLoop(
-            blocker, settings, cascade=cascade, differ=differ, chaos=chaos
-        )
         if loop.chaos is not None:
             print(loop.chaos.describe())
         report = loop.run(events)
@@ -343,12 +305,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def main(argv: list | None = None) -> int:
-    from repro.core.config import configured_serve_settings
-
-    # flag defaults resolve through the environment, so an unset flag
-    # honors PERCIVAL_SERVE_* exactly as the help text promises
-    serve_defaults = configured_serve_settings()
-
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -399,17 +355,17 @@ def main(argv: list | None = None) -> int:
     serve_sim.add_argument("--seed", type=int, default=0)
     serve_sim.add_argument(
         "--max-batch", type=int,
-        default=serve_defaults.max_batch,
+        default=None,
         help="flush threshold (PERCIVAL_SERVE_MAX_BATCH)",
     )
     serve_sim.add_argument(
         "--max-wait-ms", type=float,
-        default=serve_defaults.max_wait_ms,
+        default=None,
         help="oldest-request deadline (PERCIVAL_SERVE_MAX_WAIT_MS)",
     )
     serve_sim.add_argument(
         "--max-depth", type=int,
-        default=serve_defaults.max_depth,
+        default=None,
         help="admission bound (PERCIVAL_SERVE_MAX_DEPTH)",
     )
     serve_sim.add_argument(
@@ -423,7 +379,7 @@ def main(argv: list | None = None) -> int:
     )
     serve_sim.add_argument(
         "--aging-ms", type=float,
-        default=serve_defaults.aging_ms,
+        default=None,
         help="priority aging interval (PERCIVAL_SERVE_AGING_MS)",
     )
     serve_sim.add_argument(

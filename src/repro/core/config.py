@@ -1,4 +1,12 @@
-"""PERCIVAL configuration."""
+"""PERCIVAL configuration and its ``PERCIVAL_*`` knobs.
+
+The ``configured_*`` functions here are the only readers of a
+``PERCIVAL_*`` variable, and all follow one rule: an explicit value (a
+:class:`PercivalConfig` or :class:`ServeSettings` field) wins, else the
+environment variable, else the default.  README "Scaling knobs" lists
+every knob.  :func:`resolve_tier` turns the serve stack's tier
+arguments into tier objects by the same rule.
+"""
 
 from __future__ import annotations
 
@@ -83,31 +91,6 @@ class PercivalConfig:
         return payload
 
 
-def configured_worker_count(explicit: int | None = None) -> int:
-    """Resolve the ``PERCIVAL_WORKERS`` knob to a worker count.
-
-    Resolution order: an ``explicit`` value (e.g.
-    ``PercivalConfig.num_workers``) wins; otherwise the
-    ``PERCIVAL_WORKERS`` environment variable is consulted, where
-    ``"auto"`` (or unset) means *cores minus one* — leave one core for
-    the renderer/parent — and an integer pins the count.  ``0`` always
-    means sharding is disabled (single-process inference); on a
-    single-core machine ``auto`` therefore resolves to ``0``.
-    """
-    if explicit is not None:
-        return max(int(explicit), 0)
-    raw = os.environ.get("PERCIVAL_WORKERS", "auto").strip().lower()
-    if raw in ("", "auto"):
-        return max((os.cpu_count() or 1) - 1, 0)
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"PERCIVAL_WORKERS must be an integer or 'auto', got {raw!r}"
-        ) from exc
-    return max(value, 0)
-
-
 @dataclass(frozen=True)
 class ServeSettings:
     """Micro-batching knobs of the :mod:`repro.serve` layer.
@@ -152,232 +135,213 @@ class ServeSettings:
             raise ValueError("aging_ms must be > 0")
 
 
+
+
+# ----------------------------------------------------------------------
+# Knob resolution: the one place a PERCIVAL_* variable is read
+# ----------------------------------------------------------------------
+_ON_OFF = {
+    "off": False, "0": False, "false": False, "no": False,
+    "on": True, "1": True, "true": True, "yes": True,
+}
+
+
+def _on_off(raw: str) -> bool:
+    if raw not in _ON_OFF:
+        raise ValueError(f"expected 'on' or 'off', got {raw!r}")
+    return _ON_OFF[raw]
+
+
+def _auto_or_int(raw: str) -> int | None:
+    return None if raw == "auto" else int(raw)
+
+
+def _chaos_seed(raw: str) -> int | None:
+    # 0 is a valid seed, so "0" is not in the off vocabulary
+    if raw in ("off", "false", "no", "none"):
+        return None
+    if raw in ("on", "true", "yes"):
+        return 0
+    return int(raw)
+
+
+def _at_least(low: int):
+    """Check for integer knobs; ``None`` (auto) passes through."""
+
+    def check(value):
+        if value is None:
+            return None
+        if int(value) < low:
+            raise ValueError(f"must be >= {low}, got {value}")
+        return int(value)
+
+    return check
+
+
+def _workers(value: int | None) -> int:
+    # auto = cores minus one (one core stays with the renderer); a
+    # negative count clamps to 0, which disables sharding
+    if value is None:
+        value = (os.cpu_count() or 1) - 1
+    return max(int(value), 0)
+
+
+def _resolve(var: str, explicit, parse, default, check=lambda value: value):
+    """The knob rule: ``explicit`` if given (the environment is then not
+    read), else ``parse`` of the ``var`` environment variable (stripped,
+    lower-cased), else ``default``; unset and empty both mean the
+    default.  ``check`` validates or normalizes whichever applied.  A
+    value either step rejects raises ``ValueError`` naming ``var``."""
+    value = explicit
+    try:
+        if value is None:
+            raw = os.environ.get(var, "").strip().lower()
+            value = parse(raw) if raw else default
+        return check(value)
+    except ValueError as exc:
+        raise ValueError(f"invalid {var}: {exc}") from exc
+
+
+def configured_worker_count(explicit: int | None = None) -> int:
+    """``PERCIVAL_WORKERS`` (``auto`` or an integer; default ``auto`` =
+    cores minus one): worker processes for sharded inference, 0 =
+    sharding off.  ``explicit`` is ``PercivalConfig.num_workers``."""
+    return _resolve("PERCIVAL_WORKERS", explicit, _auto_or_int, None, _workers)
+
+
 def configured_serve_settings(
     explicit: ServeSettings | None = None,
 ) -> ServeSettings:
-    """Resolve the ``PERCIVAL_SERVE_*`` knobs to :class:`ServeSettings`.
-
-    An ``explicit`` settings object wins outright; otherwise each field
-    falls back to its environment variable (``PERCIVAL_SERVE_MAX_BATCH``,
-    ``PERCIVAL_SERVE_MAX_WAIT_MS``, ``PERCIVAL_SERVE_MAX_DEPTH``) and
-    then to the dataclass default.  Invalid values raise ``ValueError``
-    naming the offending variable.
-    """
+    """``PERCIVAL_SERVE_MAX_BATCH``/``_MAX_WAIT_MS``/``_MAX_DEPTH``/
+    ``_AGING_MS`` as :class:`ServeSettings`; an ``explicit`` settings
+    object wins outright.  ``lanes`` stays auto (see
+    :func:`configured_serve_lanes`)."""
     if explicit is not None:
         return explicit
-
-    def _env(name: str, cast, default):
-        raw = os.environ.get(name, "").strip()
-        if not raw:
-            return default
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ValueError(f"invalid {name}: {raw!r}") from exc
-
     return ServeSettings(
-        max_batch=_env("PERCIVAL_SERVE_MAX_BATCH", int,
-                       ServeSettings.max_batch),
-        max_wait_ms=_env("PERCIVAL_SERVE_MAX_WAIT_MS", float,
-                         ServeSettings.max_wait_ms),
-        max_depth=_env("PERCIVAL_SERVE_MAX_DEPTH", int,
-                       ServeSettings.max_depth),
-        aging_ms=_env("PERCIVAL_SERVE_AGING_MS", float,
-                      ServeSettings.aging_ms),
+        max_batch=_resolve("PERCIVAL_SERVE_MAX_BATCH", None, int,
+                           ServeSettings.max_batch),
+        max_wait_ms=_resolve("PERCIVAL_SERVE_MAX_WAIT_MS", None, float,
+                             ServeSettings.max_wait_ms),
+        max_depth=_resolve("PERCIVAL_SERVE_MAX_DEPTH", None, int,
+                           ServeSettings.max_depth),
+        aging_ms=_resolve("PERCIVAL_SERVE_AGING_MS", None, float,
+                          ServeSettings.aging_ms),
     )
 
 
 def configured_serve_lanes(explicit: int | None = None) -> int | None:
-    """Resolve the ``PERCIVAL_SERVE_LANES`` knob to a lane count.
-
-    Resolution order: an ``explicit`` value (``ServeSettings.lanes``)
-    wins; otherwise the ``PERCIVAL_SERVE_LANES`` environment variable is
-    consulted, where unset/empty/``"auto"`` returns ``None`` — meaning
-    the serve loop sizes its lane set from the attached worker pool's
-    ``available_capacity`` (1 when there is no pool).  An integer pins
-    the count; anything below 1 raises ``ValueError``.
-    """
-    if explicit is not None:
-        if int(explicit) < 1:
-            raise ValueError("serve lanes must be >= 1")
-        return int(explicit)
-    raw = os.environ.get("PERCIVAL_SERVE_LANES", "").strip().lower()
-    if raw in ("", "auto"):
-        return None
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"PERCIVAL_SERVE_LANES must be an integer or 'auto', got {raw!r}"
-        ) from exc
-    if value < 1:
-        raise ValueError(f"PERCIVAL_SERVE_LANES must be >= 1, got {value}")
-    return value
+    """``PERCIVAL_SERVE_LANES`` (``auto`` or an integer >= 1; default
+    ``auto``): virtual compute lanes, ``None`` for auto — the serve loop
+    then sizes its lanes from the worker pool's capacity (1 without a
+    pool).  ``explicit`` is ``ServeSettings.lanes``."""
+    return _resolve(
+        "PERCIVAL_SERVE_LANES", explicit, _auto_or_int, None, _at_least(1)
+    )
 
 
 def configured_cascade_enabled(explicit: bool | None = None) -> bool:
-    """Resolve the ``PERCIVAL_CASCADE`` knob to on/off.
-
-    Resolution order: an ``explicit`` value (e.g.
-    ``PercivalConfig.cascade_enabled``) wins; otherwise the
-    ``PERCIVAL_CASCADE`` environment variable is consulted, where
-    unset/empty/``off``/``0``/``false``/``no`` means off — the
-    bit-identical pre-cascade pipeline — and ``on``/``1``/``true``/
-    ``yes`` enables the confidence router.  Anything else raises
-    ``ValueError``.
-    """
-    if explicit is not None:
-        return bool(explicit)
-    raw = os.environ.get("PERCIVAL_CASCADE", "").strip().lower()
-    if raw in ("", "off", "0", "false", "no"):
-        return False
-    if raw in ("on", "1", "true", "yes"):
-        return True
-    raise ValueError(
-        f"PERCIVAL_CASCADE must be 'on' or 'off', got {raw!r}"
-    )
+    """``PERCIVAL_CASCADE`` (on/off; default off): the
+    :mod:`repro.cascade` confidence router.  ``explicit`` is
+    ``PercivalConfig.cascade_enabled``."""
+    return _resolve("PERCIVAL_CASCADE", explicit, _on_off, False, bool)
 
 
 def configured_diff_enabled(explicit: bool | None = None) -> bool:
-    """Resolve the ``PERCIVAL_DIFF`` knob to on/off.
-
-    Resolution order: an ``explicit`` value (e.g.
-    ``PercivalConfig.diff_enabled``) wins; otherwise the
-    ``PERCIVAL_DIFF`` environment variable is consulted, where
-    unset/empty/``off``/``0``/``false``/``no`` means off — the
-    bit-identical pre-diff pipeline — and ``on``/``1``/``true``/``yes``
-    enables the snapshot/diff layer.  Anything else raises
-    ``ValueError``.
-    """
-    if explicit is not None:
-        return bool(explicit)
-    raw = os.environ.get("PERCIVAL_DIFF", "").strip().lower()
-    if raw in ("", "off", "0", "false", "no"):
-        return False
-    if raw in ("on", "1", "true", "yes"):
-        return True
-    raise ValueError(
-        f"PERCIVAL_DIFF must be 'on' or 'off', got {raw!r}"
-    )
+    """``PERCIVAL_DIFF`` (on/off; default off): the :mod:`repro.diff`
+    snapshot/diff tier.  ``explicit`` is ``PercivalConfig.diff_enabled``."""
+    return _resolve("PERCIVAL_DIFF", explicit, _on_off, False, bool)
 
 
 def configured_diff_capacity(explicit: int | None = None) -> int:
-    """Resolve the ``PERCIVAL_DIFF_CAPACITY`` knob: how many
-    ``(session, page)`` snapshots the differ's LRU store keeps.
-
-    An ``explicit`` value wins; otherwise the environment variable
-    applies, and unset/empty means the default (512).  Values below 1
-    raise ``ValueError`` — a snapshot store that can hold nothing would
-    silently disable the diff layer.
-    """
-    if explicit is None:
-        raw = os.environ.get("PERCIVAL_DIFF_CAPACITY", "").strip()
-        if not raw:
-            return 512
-        try:
-            explicit = int(raw)
-        except ValueError as exc:
-            raise ValueError(
-                f"PERCIVAL_DIFF_CAPACITY must be an integer, got {raw!r}"
-            ) from exc
-    value = int(explicit)
-    if value < 1:
-        raise ValueError(
-            f"PERCIVAL_DIFF_CAPACITY must be >= 1, got {value}"
-        )
-    return value
-
-
-def configured_chaos_seed(explicit: int | None = None) -> int | None:
-    """Resolve the ``PERCIVAL_CHAOS`` knob to a schedule seed or None.
-
-    Resolution order: an ``explicit`` value wins; otherwise the
-    ``PERCIVAL_CHAOS`` environment variable is consulted, where
-    unset/empty/``off``/``false``/``no`` means *no chaos* — the
-    bit-identical fault-free path — ``on`` means seed 0, and an
-    integer is used as the
-    :meth:`~repro.resilience.ChaosSchedule.seeded` seed directly
-    (``0`` is a valid seed, not "off").  Anything else raises
-    ``ValueError``.
-    """
-    if explicit is not None:
-        return int(explicit)
-    raw = os.environ.get("PERCIVAL_CHAOS", "").strip().lower()
-    if raw in ("", "off", "false", "no", "none"):
-        return None
-    if raw in ("on", "true", "yes"):
-        return 0
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"PERCIVAL_CHAOS must be 'off', 'on', or an integer seed,"
-            f" got {raw!r}"
-        ) from exc
-
-
-def configured_resilience_enabled(explicit: bool | None = None) -> bool:
-    """Resolve the ``PERCIVAL_RESILIENCE`` knob to on/off.
-
-    Resolution order: an ``explicit`` value wins; otherwise the
-    ``PERCIVAL_RESILIENCE`` environment variable is consulted, where
-    unset/empty/``off``/``0``/``false``/``no`` means off — the
-    bit-identical pre-resilience serving path — and
-    ``on``/``1``/``true``/``yes`` attaches the breaker/ladder plane.
-    (An active chaos schedule implies the plane regardless.)
-    """
-    if explicit is not None:
-        return bool(explicit)
-    raw = os.environ.get("PERCIVAL_RESILIENCE", "").strip().lower()
-    if raw in ("", "off", "0", "false", "no"):
-        return False
-    if raw in ("on", "1", "true", "yes"):
-        return True
-    raise ValueError(
-        f"PERCIVAL_RESILIENCE must be 'on' or 'off', got {raw!r}"
+    """``PERCIVAL_DIFF_CAPACITY`` (integer >= 1; default 512):
+    ``(session, page)`` snapshots the differ's LRU store keeps."""
+    return _resolve(
+        "PERCIVAL_DIFF_CAPACITY", explicit, int, 512, _at_least(1)
     )
 
 
-def configured_respawn_budget(explicit: int | None = None) -> int:
-    """Resolve the ``PERCIVAL_RESPAWN_BUDGET`` knob: how many worker
-    *replacements* (respawns after a death — initial spawns and resize
-    growth are free) a pool may perform over its lifetime.
+def configured_chaos_seed() -> int | None:
+    """``PERCIVAL_CHAOS`` (off, ``on`` = seed 0, or an integer seed;
+    default off): the :meth:`~repro.resilience.ChaosSchedule.seeded`
+    seed, ``None`` for no chaos."""
+    return _resolve("PERCIVAL_CHAOS", None, _chaos_seed, None)
 
-    An ``explicit`` value wins; otherwise the environment variable
-    applies, and unset/empty means the default (16).  Values below 0
-    raise ``ValueError``; 0 means a dead worker is never replaced.
-    """
-    if explicit is None:
-        raw = os.environ.get("PERCIVAL_RESPAWN_BUDGET", "").strip()
-        if not raw:
-            return 16
-        try:
-            explicit = int(raw)
-        except ValueError as exc:
-            raise ValueError(
-                f"PERCIVAL_RESPAWN_BUDGET must be an integer, got {raw!r}"
-            ) from exc
-    value = int(explicit)
-    if value < 0:
-        raise ValueError(
-            f"PERCIVAL_RESPAWN_BUDGET must be >= 0, got {value}"
-        )
-    return value
+
+def configured_resilience_enabled() -> bool:
+    """``PERCIVAL_RESILIENCE`` (on/off; default off): the breaker/ladder
+    plane.  An active chaos schedule implies it regardless."""
+    return _resolve("PERCIVAL_RESILIENCE", None, _on_off, False)
+
+
+def configured_respawn_budget(explicit: int | None = None) -> int:
+    """``PERCIVAL_RESPAWN_BUDGET`` (integer >= 0; default 16): worker
+    replacements a pool may perform over its lifetime (initial spawns
+    and resize growth are free; 0 = never replace a dead worker)."""
+    return _resolve(
+        "PERCIVAL_RESPAWN_BUDGET", explicit, int, 16, _at_least(0)
+    )
 
 
 def configured_precision(explicit: str | None = None) -> str:
-    """Resolve the ``PERCIVAL_PRECISION`` knob to a precision name.
+    """``PERCIVAL_PRECISION`` (``fp32``/``fp16``/``int8``; default
+    ``fp32``): storage precision of the weight artifact.  ``explicit``
+    is ``PercivalConfig.precision``."""
+    return _resolve(
+        "PERCIVAL_PRECISION", explicit, str, "fp32", validate_precision
+    )
 
-    Resolution order: an ``explicit`` value (e.g.
-    ``PercivalConfig.precision``) wins; otherwise the
-    ``PERCIVAL_PRECISION`` environment variable is consulted, where
-    unset/empty means ``fp32`` — the bit-for-bit default pipeline.
-    Anything outside ``fp32``/``fp16``/``int8`` raises ``ValueError``.
+
+def resolve_tier(
+    tier: str,
+    value: object,
+    config: PercivalConfig,
+    chaos_active: bool = False,
+):
+    """Normalize one tier argument of the serve stack: ``tier`` is
+    ``"cascade"``, ``"differ"``, ``"chaos"`` or ``"resilience"``.
+
+    ``False`` pins the tier off (the bit-identical path without it); an
+    instance of the tier's type is used as is; ``None`` builds the
+    default tier when its knob is on — ``config.cascade_enabled`` /
+    ``config.diff_enabled`` over the environment for the first two, the
+    environment alone for chaos, and resilience also whenever
+    ``chaos_active`` (a chaos replay without breakers or the ladder
+    would only measure unmitigated damage).  Anything else raises
+    ``TypeError``.
     """
-    if explicit is not None:
-        return validate_precision(explicit)
-    raw = os.environ.get("PERCIVAL_PRECISION", "").strip() or "fp32"
-    try:
-        return validate_precision(raw)
-    except ValueError as exc:
-        raise ValueError(f"invalid PERCIVAL_PRECISION: {exc}") from exc
+    # leaf imports: the tier packages build on core, not the reverse
+    from repro.cascade.router import CascadeRouter
+    from repro.diff.differ import FrameDiffer
+    from repro.resilience.chaos import ChaosSchedule
+    from repro.resilience.plane import ResiliencePlane
+
+    kind = {
+        "cascade": CascadeRouter,
+        "differ": FrameDiffer,
+        "chaos": ChaosSchedule,
+        "resilience": ResiliencePlane,
+    }[tier]
+    if value is False:
+        return None
+    if isinstance(value, kind):
+        return value
+    if value is not None:
+        raise TypeError(
+            f"{tier} must be a {kind.__name__}, None (auto), or False (off)"
+        )
+    if tier == "cascade":
+        if configured_cascade_enabled(config.cascade_enabled):
+            return CascadeRouter.with_default_filterlist(
+                confidence=config.cascade_confidence
+            )
+    elif tier == "differ":
+        if configured_diff_enabled(config.diff_enabled):
+            return FrameDiffer(capacity=configured_diff_capacity())
+    elif tier == "chaos":
+        seed = configured_chaos_seed()
+        if seed is not None:
+            return ChaosSchedule.seeded(seed)
+    elif chaos_active or configured_resilience_enabled():
+        return ResiliencePlane()
+    return None

@@ -41,7 +41,6 @@ from repro.resilience.chaos import (
     ChaosEvent,
     ChaosInjectedError,
     ChaosSchedule,
-    resolve_chaos,
 )
 from repro.resilience.degrade import (
     LEVELS,
@@ -52,7 +51,6 @@ from repro.resilience.degrade import (
 from repro.resilience.plane import (
     GUARDED_TIERS,
     ResiliencePlane,
-    resolve_resilience,
 )
 
 __all__ = [
@@ -79,6 +77,4 @@ __all__ = [
     "STATE_HALF_OPEN",
     "STATE_OPEN",
     "TierBreaker",
-    "resolve_chaos",
-    "resolve_resilience",
 ]

@@ -35,12 +35,12 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cascade.provenance import FrameProvenance
-from repro.cascade.router import CascadeAudit, CascadeHit, resolve_cascade
+from repro.cascade.router import CascadeAudit, CascadeHit
 from repro.core.blocker import BlockDecision, PercivalBlocker
-from repro.diff.differ import resolve_differ
+from repro.core.config import resolve_tier
 from repro.diff.snapshot import RegionRecord
-from repro.resilience.chaos import ChaosCursor, ChaosInjectedError, resolve_chaos
-from repro.resilience.plane import ResiliencePlane, resolve_resilience
+from repro.resilience.chaos import ChaosCursor, ChaosInjectedError
+from repro.resilience.plane import ResiliencePlane
 from repro.serve.metrics import ServeStats
 from repro.serve.queue import PRIORITY_VIEWPORT, ServeRequest
 
@@ -149,7 +149,8 @@ class TierChain:
     """Admission and settlement over one blocker and its speed tiers.
 
     The ``cascade``/``differ``/``chaos``/``resilience`` arguments are
-    resolved here, once (``None`` defers to the ``PERCIVAL_*`` knobs,
+    resolved here, once, by :func:`~repro.core.config.resolve_tier`
+    (``None`` defers to the config and the ``PERCIVAL_*`` knobs,
     ``False`` pins a tier off, an instance is used as-is).  The chain
     reaches every tier through its attribute at call time, so a method
     wrapped on the instance after construction is honoured.
@@ -170,11 +171,12 @@ class TierChain:
     ) -> None:
         config = blocker.classifier.config
         self.blocker = blocker
-        self.cascade = resolve_cascade(cascade, config)
-        self.differ = resolve_differ(differ, config)
-        self.chaos = resolve_chaos(chaos, config)
-        self.resilience = resolve_resilience(
-            resilience, config, chaos_active=self.chaos is not None
+        self.cascade = resolve_tier("cascade", cascade, config)
+        self.differ = resolve_tier("differ", differ, config)
+        self.chaos = resolve_tier("chaos", chaos, config)
+        self.resilience = resolve_tier(
+            "resilience", resilience, config,
+            chaos_active=self.chaos is not None,
         )
         self.coalesce = coalesce
 

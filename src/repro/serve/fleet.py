@@ -39,6 +39,7 @@ from typing import Callable, List, Optional
 from repro.core.blocker import PercivalBlocker
 from repro.core.config import ServeSettings, configured_serve_settings
 from repro.eval.reporting import format_table
+from repro.serve.chain import TierChain
 from repro.serve.loop import ServeLoop, ServeReport
 from repro.serve.session import TrafficSpec, synthesize_traffic
 
@@ -254,10 +255,6 @@ class FleetSimulator:
         chaos: "object | None | bool" = None,
         resilience: "object | None | bool" = None,
     ) -> None:
-        # leaf import: only the fleet constructor resolves the knob
-        from repro.cascade.router import resolve_cascade
-        from repro.resilience import resolve_chaos, resolve_resilience
-
         if initial_lanes < 1:
             raise ValueError("initial_lanes must be >= 1")
         self.blocker = blocker
@@ -265,21 +262,17 @@ class FleetSimulator:
         self.policy = policy or SLOPolicy()
         self.compute_model = compute_model
         self.initial_lanes = initial_lanes
-        #: resolved once and shared by every epoch's ServeLoop, so the
-        #: compiled rule cache (and its quarantine) persists across the
-        #: whole simulated day — rules learned at dawn serve the peak
-        self.cascade = resolve_cascade(cascade, blocker.classifier.config)
-        #: the same seeded schedule replays inside every epoch (each
-        #: epoch's run walks it with a fresh cursor over its own clock)
-        self.chaos = resolve_chaos(chaos, blocker.classifier.config)
-        #: one plane shared across the day, like the cascade's rule
-        #: cache: breakers tripped at the peak stay tripped into the
-        #: next epoch, and the dwell ledger spans the whole replay
-        self.resilience = resolve_resilience(
-            resilience,
-            blocker.classifier.config,
-            chaos_active=self.chaos is not None,
-        )
+        # one chain resolves the tiers every epoch shares: the router,
+        # so rules learned at dawn serve the peak; the chaos schedule,
+        # which each epoch walks with a fresh cursor; and the plane, so
+        # breakers tripped at the peak stay tripped.  The differ is
+        # left to each epoch's loop: every epoch's trace restarts
+        # session ids, URLs and content keys, so a day-long snapshot
+        # store would answer new frames with old verdicts.
+        day = TierChain(blocker, cascade, False, chaos, resilience)
+        self.cascade = day.cascade
+        self.chaos = day.chaos
+        self.resilience = day.resilience
 
     def run(self, spec: Optional[FleetSpec] = None) -> FleetReport:
         spec = spec or FleetSpec()
@@ -289,18 +282,6 @@ class FleetSimulator:
         )
         epochs: List[EpochReport] = []
         for epoch in range(spec.epochs):
-            traffic = spec.epoch_traffic(epoch)
-            if self.cascade is not None and not traffic.provenance:
-                # provenance rides a separate RNG stream, so switching
-                # it on leaves the bitmap/arrival trace untouched
-                traffic = replace(traffic, provenance=True)
-            events = synthesize_traffic(traffic)
-            self._resize_pool(lanes)
-            transitions_before = (
-                len(self.resilience.controller.transitions)
-                if self.resilience is not None
-                else 0
-            )
             loop = ServeLoop(
                 self.blocker,
                 # pin the epoch's lane count: the policy, not the
@@ -312,6 +293,20 @@ class FleetSimulator:
                 cascade=self.cascade or False,
                 chaos=self.chaos or False,
                 resilience=self.resilience or False,
+            )
+            traffic = spec.epoch_traffic(epoch)
+            if (
+                loop.cascade is not None or loop.differ is not None
+            ) and not traffic.provenance:
+                # provenance rides a separate RNG stream, so switching
+                # it on leaves the bitmap/arrival trace untouched
+                traffic = replace(traffic, provenance=True)
+            events = synthesize_traffic(traffic)
+            self._resize_pool(lanes)
+            transitions_before = (
+                len(self.resilience.controller.transitions)
+                if self.resilience is not None
+                else 0
             )
             report = loop.run(events)
             stats = report.stats

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.cascade import CascadeAudit, CascadeHit, CascadeRouter, FrameProvenance
-from repro.cascade.router import TIER_LIST, TIER_MICRO, resolve_cascade
+from repro.cascade.router import TIER_LIST, TIER_MICRO
 from repro.core.blocker import BlockDecision
-from repro.core.config import PercivalConfig
+from repro.core.config import PercivalConfig, resolve_tier
 from repro.filterlist.engine import FilterEngine
 
 AD_URL = "https://ads.example/banner/x.png"
@@ -200,37 +200,37 @@ class TestInvalidationStats:
 class TestResolveCascade:
     def test_false_pins_off_even_when_env_says_on(self, monkeypatch):
         monkeypatch.setenv("PERCIVAL_CASCADE", "on")
-        assert resolve_cascade(False, PercivalConfig()) is None
+        assert resolve_tier("cascade", False, PercivalConfig()) is None
 
     def test_router_instance_used_as_is(self, router):
-        assert resolve_cascade(router, PercivalConfig()) is router
+        assert resolve_tier("cascade", router, PercivalConfig()) is router
 
     def test_none_defers_to_env_off(self, monkeypatch):
         monkeypatch.delenv("PERCIVAL_CASCADE", raising=False)
-        assert resolve_cascade(None, PercivalConfig()) is None
+        assert resolve_tier("cascade", None, PercivalConfig()) is None
         monkeypatch.setenv("PERCIVAL_CASCADE", "off")
-        assert resolve_cascade(None, PercivalConfig()) is None
+        assert resolve_tier("cascade", None, PercivalConfig()) is None
 
     def test_none_defers_to_env_on(self, monkeypatch):
         monkeypatch.setenv("PERCIVAL_CASCADE", "1")
-        resolved = resolve_cascade(None, PercivalConfig())
+        resolved = resolve_tier("cascade", None, PercivalConfig())
         assert isinstance(resolved, CascadeRouter)
         assert resolved.filter_engine is not None
 
     def test_config_beats_env(self, monkeypatch):
         monkeypatch.setenv("PERCIVAL_CASCADE", "off")
         config = PercivalConfig(cascade_enabled=True, cascade_confidence=0.8)
-        resolved = resolve_cascade(None, config)
+        resolved = resolve_tier("cascade", None, config)
         assert isinstance(resolved, CascadeRouter)
         assert resolved.confidence == 0.8
 
     def test_garbage_env_value_raises(self, monkeypatch):
         monkeypatch.setenv("PERCIVAL_CASCADE", "maybe")
         with pytest.raises(ValueError):
-            resolve_cascade(None, PercivalConfig())
+            resolve_tier("cascade", None, PercivalConfig())
 
     def test_wrong_type_raises(self):
         with pytest.raises(TypeError):
-            resolve_cascade(True, PercivalConfig())
+            resolve_tier("cascade", True, PercivalConfig())
         with pytest.raises(TypeError):
-            resolve_cascade("on", PercivalConfig())
+            resolve_tier("cascade", "on", PercivalConfig())

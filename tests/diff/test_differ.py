@@ -7,6 +7,7 @@ from repro.core.config import (
     PercivalConfig,
     configured_diff_capacity,
     configured_diff_enabled,
+    resolve_tier,
 )
 from repro.diff import (
     FrameDiffer,
@@ -15,7 +16,6 @@ from repro.diff import (
     SnapshotStore,
     content_key_for_payload,
     display_digest,
-    resolve_differ,
 )
 
 
@@ -159,13 +159,13 @@ class TestDiffKnob:
     def test_resolve_differ(self, monkeypatch):
         config = PercivalConfig()
         monkeypatch.delenv("PERCIVAL_DIFF", raising=False)
-        assert resolve_differ(None, config) is None
+        assert resolve_tier("differ", None, config) is None
         monkeypatch.setenv("PERCIVAL_DIFF", "on")
-        auto = resolve_differ(None, config)
+        auto = resolve_tier("differ", None, config)
         assert isinstance(auto, FrameDiffer)
         # False pins off regardless of the environment
-        assert resolve_differ(False, config) is None
+        assert resolve_tier("differ", False, config) is None
         instance = FrameDiffer()
-        assert resolve_differ(instance, config) is instance
+        assert resolve_tier("differ", instance, config) is instance
         with pytest.raises(TypeError):
-            resolve_differ("on", config)
+            resolve_tier("differ", "on", config)

@@ -11,12 +11,11 @@ from repro.core import (
     PercivalBlocker,
     ServeSettings,
 )
+from repro.core.config import resolve_tier
 from repro.resilience import (
     ChaosEvent,
     ChaosSchedule,
     ResiliencePlane,
-    resolve_chaos,
-    resolve_resilience,
 )
 from repro.serve import ArrivalEvent, ServeLoop
 
@@ -147,34 +146,34 @@ class TestEnvironmentResolution:
     def test_resolve_chaos_off_paths(self, untrained_classifier, monkeypatch):
         config = untrained_classifier.config
         monkeypatch.delenv("PERCIVAL_CHAOS", raising=False)
-        assert resolve_chaos(None, config) is None
-        assert resolve_chaos(False, config) is None
+        assert resolve_tier("chaos", None, config) is None
+        assert resolve_tier("chaos", False, config) is None
         monkeypatch.setenv("PERCIVAL_CHAOS", "off")
-        assert resolve_chaos(None, config) is None
+        assert resolve_tier("chaos", None, config) is None
         monkeypatch.setenv("PERCIVAL_CHAOS", "23")
-        assert resolve_chaos(False, config) is None  # pinned off wins
+        assert resolve_tier("chaos", False, config) is None  # pinned off wins
 
     def test_resolve_chaos_env_seed(self, untrained_classifier, monkeypatch):
         config = untrained_classifier.config
         monkeypatch.setenv("PERCIVAL_CHAOS", "23")
-        assert resolve_chaos(None, config) == ChaosSchedule.seeded(23)
+        assert resolve_tier("chaos", None, config) == ChaosSchedule.seeded(23)
         schedule = ChaosSchedule.seeded(1)
-        assert resolve_chaos(schedule, config) is schedule
+        assert resolve_tier("chaos", schedule, config) is schedule
         with pytest.raises(TypeError):
-            resolve_chaos("on", config)
+            resolve_tier("chaos", "on", config)
 
     def test_resolve_resilience_paths(
         self, untrained_classifier, monkeypatch
     ):
         config = untrained_classifier.config
         monkeypatch.delenv("PERCIVAL_RESILIENCE", raising=False)
-        assert resolve_resilience(None, config) is None
-        assert resolve_resilience(None, config, chaos_active=True) is not None
-        assert resolve_resilience(False, config, chaos_active=True) is None
+        assert resolve_tier("resilience", None, config) is None
+        assert resolve_tier("resilience", None, config, chaos_active=True) is not None
+        assert resolve_tier("resilience", False, config, chaos_active=True) is None
         monkeypatch.setenv("PERCIVAL_RESILIENCE", "on")
-        assert resolve_resilience(None, config) is not None
+        assert resolve_tier("resilience", None, config) is not None
         plane = ResiliencePlane()
-        assert resolve_resilience(plane, config) is plane
+        assert resolve_tier("resilience", plane, config) is plane
 
     def test_serve_loop_picks_up_the_env_knob(
         self, untrained_classifier, monkeypatch

@@ -8,6 +8,7 @@ request — conservation holds per epoch and fleet-wide.
 
 import pytest
 
+import repro.serve.fleet as fleet
 from repro.core import PercivalBlocker, ServeSettings
 from repro.serve import (
     FleetSimulator,
@@ -178,6 +179,68 @@ class TestFleetReplay:
             FleetSimulator(
                 _blocker(untrained_classifier), initial_lanes=0
             )
+
+
+@pytest.fixture()
+def loops(monkeypatch):
+    """Every epoch's ServeLoop, in order."""
+    built = []
+
+    class SpyLoop(fleet.ServeLoop):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(fleet, "ServeLoop", SpyLoop)
+    return built
+
+
+class TestFleetTiers:
+    def test_day_shares_its_tiers_and_each_epoch_gets_a_fresh_differ(
+        self, untrained_classifier, monkeypatch, loops
+    ):
+        monkeypatch.setenv("PERCIVAL_CASCADE", "on")
+        monkeypatch.setenv("PERCIVAL_DIFF", "on")
+        monkeypatch.setenv("PERCIVAL_CHAOS", "7")
+        simulator = FleetSimulator(
+            _blocker(untrained_classifier), _SETTINGS,
+            policy=SLOPolicy(p99_target_ms=30.0),
+        )
+        report = simulator.run(_spec(epochs=3))
+        assert report.conserved()
+        assert len(loops) == 3
+        assert simulator.cascade is not None
+        assert simulator.chaos is not None
+        # an active chaos schedule implies the resilience plane
+        assert simulator.resilience is not None
+        for loop in loops:
+            assert loop.cascade is simulator.cascade
+            assert loop.chaos is simulator.chaos
+            assert loop.resilience is simulator.resilience
+            assert loop.differ is not None
+        assert len({id(loop.differ) for loop in loops}) == 3
+
+    def test_pinned_off_tiers_stay_off_in_every_epoch(
+        self, untrained_classifier, monkeypatch, loops
+    ):
+        monkeypatch.setenv("PERCIVAL_CASCADE", "on")
+        monkeypatch.setenv("PERCIVAL_CHAOS", "7")
+        monkeypatch.setenv("PERCIVAL_RESILIENCE", "on")
+        simulator = FleetSimulator(
+            _blocker(untrained_classifier), _SETTINGS,
+            policy=SLOPolicy(p99_target_ms=30.0),
+            cascade=False, chaos=False, resilience=False,
+        )
+        simulator.run(_spec(epochs=2))
+        assert simulator.cascade is None
+        assert simulator.chaos is None
+        assert simulator.resilience is None
+        assert all(
+            loop.cascade is None
+            and loop.chaos is None
+            and loop.resilience is None
+            for loop in loops
+        )
 
 
 class _RecordingPool:
