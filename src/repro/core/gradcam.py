@@ -16,7 +16,7 @@ import numpy as np
 from repro.core.classifier import AdClassifier
 from repro.core.preprocessing import preprocess_bitmap
 from repro.models.percivalnet import LABEL_AD
-from repro.synth.drawing import resize_bitmap
+from repro.utils.resize import resize_bitmap
 
 
 class GradCam:
@@ -75,11 +75,9 @@ class GradCam:
         peak = cam.max()
         if peak > 0:
             cam = cam / peak
-        cam_rgba = np.repeat(
-            cam[:, :, None].astype(np.float32), 4, axis=2
-        )
         resized = resize_bitmap(
-            cam_rgba, bitmap.shape[0], bitmap.shape[1]
+            cam[:, :, None].astype(np.float32),
+            bitmap.shape[0], bitmap.shape[1],
         )
         self.network.capture([])
         return resized[..., 0]

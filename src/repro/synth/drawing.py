@@ -17,6 +17,8 @@ from typing import Sequence, Tuple
 import numpy as np
 from scipy import ndimage
 
+from repro.utils.resize import resize_bitmap  # noqa: F401 - re-exported
+
 Color = Tuple[float, float, float]
 
 
@@ -255,21 +257,3 @@ def price_flash(img: np.ndarray, rng: np.random.Generator) -> None:
     cy = int(rng.uniform(0.15, 0.5) * height)
     draw_circle(img, cx, cy, radius, (1.0, 0.85, 0.1))
     fill_rect(img, cx - radius // 2, cy - 1, radius, 2, (0.8, 0.1, 0.1))
-
-
-def resize_bitmap(img: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Resize an RGBA bitmap with bilinear interpolation.
-
-    Stands in for the scaling step PERCIVAL performs before inference
-    ("scales it to 224x224x4", §3.3).
-    """
-    if img.shape[0] == height and img.shape[1] == width:
-        return img.astype(np.float32, copy=True)
-    zoom = (height / img.shape[0], width / img.shape[1], 1.0)
-    out = ndimage.zoom(img, zoom, order=1, mode="nearest")
-    # zoom can be off by one pixel on some ratios; crop/pad to exact size.
-    out = out[:height, :width]
-    if out.shape[0] < height or out.shape[1] < width:
-        pad = ((0, height - out.shape[0]), (0, width - out.shape[1]), (0, 0))
-        out = np.pad(out, pad, mode="edge")
-    return np.clip(out, 0.0, 1.0).astype(np.float32)
